@@ -8,7 +8,7 @@ GO ?= go
 RACE_PKGS = ./internal/optimizer ./internal/mediator ./internal/wrapper ./internal/netsim
 
 .PHONY: all build test race bench experiments fmt vet clean \
-	ci ci-build ci-test ci-vet ci-fmt ci-lint ci-race ci-alloc ci-faultmatrix ci-feedback ci-fuzz ci-concurrency ci-bench ci-exec ci-soak ci-resultcache ci-router ci-adaptive
+	ci ci-build ci-test ci-vet ci-fmt ci-lint ci-race ci-alloc ci-faultmatrix ci-feedback ci-fuzz ci-concurrency ci-perfbench ci-bench ci-exec ci-soak ci-resultcache ci-router ci-adaptive
 
 all: build test
 
@@ -53,7 +53,29 @@ clean:
 # `make ci` runs exactly what .github/workflows/ci.yml runs; the workflow
 # invokes these ci-* targets so the two cannot drift. Run it before
 # pushing.
-ci: ci-build ci-test ci-vet ci-fmt ci-lint ci-race ci-alloc ci-faultmatrix ci-feedback ci-fuzz ci-concurrency ci-bench ci-exec ci-soak ci-resultcache ci-router ci-adaptive
+ci: ci-build ci-test ci-vet ci-fmt ci-lint ci-race ci-alloc ci-faultmatrix ci-feedback ci-fuzz ci-concurrency ci-perfbench ci-bench ci-exec ci-soak ci-resultcache ci-router ci-adaptive
+
+# merge_bench folds one benchmark report into BENCH_pr.json:
+# $(call merge_bench,report.out)
+define merge_bench
+	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < $(1) > BENCH_pr.json.tmp
+	mv BENCH_pr.json.tmp BENCH_pr.json
+endef
+
+# qps_of is the shell command printing the qps figure of one discoload
+# report: $(call qps_of,report.out)
+qps_of = awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' $(1)
+
+# qps_gate fails when the second run's qps falls more than 10% below the
+# first's:
+# $(call qps_gate,target,off.out,on.out,off-label,on-label,failure text)
+define qps_gate
+	@off=$$($(call qps_of,$(2))); \
+	on=$$($(call qps_of,$(3))); \
+	echo "$(1): qps $(4)=$$off $(5)=$$on"; \
+	awk -v on="$$on" -v off="$$off" 'BEGIN { \
+		if (on + 0 < off * 0.9) { print "$(1): $(6)"; exit 1 } }'
+endef
 
 ci-build:
 	$(GO) build ./...
@@ -127,6 +149,12 @@ ci-concurrency:
 		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|StalePlan|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp' \
 		./internal/mediator ./internal/feedback ./internal/serving
 
+# The repository benchmark's own tests (perfbench/ is a separate module,
+# so the root `go test ./...` does not reach it). Compiling it also
+# catches any change that breaks the API the benchmark drives.
+ci-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race -count=1 ./...
+
 # One iteration of every benchmark, archived as JSON for cross-commit
 # comparison (CI uploads BENCH_pr.json as an artifact).
 ci-bench:
@@ -149,8 +177,7 @@ ci-exec:
 	$(GO) test -race -count=1 -timeout 600s -run 'TestSoakExecParallel' ./cmd/discoload
 	$(GO) test -run '^$$' -bench 'BenchmarkExec|BenchmarkSort' -benchmem -benchtime 1x \
 		./internal/vexec ./internal/rowops | tee exec.out
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < exec.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
+	$(call merge_bench,exec.out)
 	rm -f exec.out
 
 # The workload-scale soak gate (EXPERIMENTS.md E11): the fixed-seed
@@ -166,15 +193,9 @@ ci-soak:
 		-bench DiscoloadDemoSoak > soak.out
 	$(GO) run ./cmd/discoload -demo -parts 2000 -clients 64 -requests 40 -seed 7 \
 		-exec-workers 4 -bench DiscoloadDemoSoakExecOn > soakexec.out
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < soak.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < soakexec.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	@off=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' soak.out); \
-	on=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' soakexec.out); \
-	echo "ci-soak: qps exec-off=$$off exec-on=$$on"; \
-	awk -v on="$$on" -v off="$$off" 'BEGIN { \
-		if (on + 0 < off * 0.9) { print "ci-soak: exec-workers-on qps regressed vs off"; exit 1 } }'
+	$(call merge_bench,soak.out)
+	$(call merge_bench,soakexec.out)
+	$(call qps_gate,ci-soak,soak.out,soakexec.out,exec-off,exec-on,exec-workers-on qps regressed vs off)
 	rm -f soak.out soakexec.out
 
 # The semantic-result-cache gate (DESIGN.md §11, EXPERIMENTS.md E12):
@@ -193,15 +214,9 @@ ci-resultcache:
 		-bench DiscoloadDemoSoakCacheOff > rcoff.out
 	$(GO) run ./cmd/discoload -demo -parts 2000 -clients 64 -requests 40 -seed 7 \
 		-result-cache -bench DiscoloadDemoSoakCacheOn > rcon.out
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < rcoff.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < rcon.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	@off=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' rcoff.out); \
-	on=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' rcon.out); \
-	echo "ci-resultcache: qps cache-off=$$off cache-on=$$on"; \
-	awk -v on="$$on" -v off="$$off" 'BEGIN { \
-		if (on + 0 < off * 0.9) { print "ci-resultcache: cache-on qps regressed vs cache-off"; exit 1 } }'
+	$(call merge_bench,rcoff.out)
+	$(call merge_bench,rcon.out)
+	$(call qps_gate,ci-resultcache,rcoff.out,rcon.out,cache-off,cache-on,cache-on qps regressed vs cache-off)
 	rm -f rcoff.out rcon.out
 
 # The federation-router gate (DESIGN.md §13, EXPERIMENTS.md E14): the
@@ -225,14 +240,11 @@ ci-router:
 		-bench DiscoloadRouterReplicas2 > router2.out
 	$(GO) run ./cmd/discoload -demo -replicas 4 -parts 2000 -clients 64 -requests 40 -seed 7 \
 		-bench DiscoloadRouterReplicas4 > router4.out
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < router1.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < router2.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < router4.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	@one=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' router1.out); \
-	four=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' router4.out); \
+	$(call merge_bench,router1.out)
+	$(call merge_bench,router2.out)
+	$(call merge_bench,router4.out)
+	@one=$$($(call qps_of,router1.out)); \
+	four=$$($(call qps_of,router4.out)); \
 	ncpu=$$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1); \
 	echo "ci-router: qps replicas=1 $$one, replicas=4 $$four (cpus=$$ncpu)"; \
 	if [ "$$ncpu" -ge 4 ]; then \
@@ -258,13 +270,7 @@ ci-adaptive:
 		-bench DiscoloadDemoSoakAdaptiveOff > adaptoff.out
 	$(GO) run ./cmd/discoload -demo -parts 2000 -clients 64 -requests 40 -seed 7 \
 		-adaptive -bench DiscoloadDemoSoakAdaptiveOn > adapton.out
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < adaptoff.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	$(GO) run ./cmd/benchjson -merge BENCH_pr.json < adapton.out > BENCH_pr.json.tmp
-	mv BENCH_pr.json.tmp BENCH_pr.json
-	@off=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' adaptoff.out); \
-	on=$$(awk '{for(i=1;i<NF;i++) if ($$(i+1)=="qps") print $$i}' adapton.out); \
-	echo "ci-adaptive: qps adaptive-off=$$off adaptive-on=$$on"; \
-	awk -v on="$$on" -v off="$$off" 'BEGIN { \
-		if (on + 0 < off * 0.9) { print "ci-adaptive: adaptive-on qps regressed vs off"; exit 1 } }'
+	$(call merge_bench,adaptoff.out)
+	$(call merge_bench,adapton.out)
+	$(call qps_gate,ci-adaptive,adaptoff.out,adapton.out,adaptive-off,adaptive-on,adaptive-on qps regressed vs off)
 	rm -f adaptoff.out adapton.out

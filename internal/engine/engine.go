@@ -76,24 +76,34 @@ func DefaultCosts() Costs {
 }
 
 // SubmitCache serves and admits materialized submit results, keyed by the
-// subtree's 128-bit structural hash. The mediator wires its semantic
-// result cache in through this interface (nil disables it); the engine
+// subtree's 128-bit structural hash. The mediator hands its semantic
+// result cache in through Run.Results (nil disables it); the engine
 // consults it at every submit boundary whose wrapper is up, and offers
-// every complete wrapper answer back. Implementations must be safe for
-// concurrent use.
+// every complete wrapper answer back. Which entries are live is the
+// implementation's business: the engine holds no invalidation state.
+// Implementations must be safe for concurrent use.
 //
 // Callers sharing one plan across goroutines must pre-hash it (computing
 // the root's StructuralHash fills every descendant's cache) — the
 // mediator's Prepare does exactly that via Prepared.Hash.
 type SubmitCache interface {
-	// Begin snapshots the invalidation generation at execution start;
-	// the engine passes it back through Put so inserts that raced an
-	// invalidation (e.g. an outage mark) are refused.
-	Begin() uint64
 	// Get returns the cached rows for a live entry.
 	Get(h algebra.Hash128) ([]types.Row, bool)
 	// Put offers a complete (never partial/excluded) wrapper answer.
-	Put(h algebra.Hash128, rows []types.Row, schema *types.Schema, bytes int64, gen uint64)
+	Put(h algebra.Hash128, rows []types.Row, schema *types.Schema, bytes int64)
+}
+
+// Run carries one execution's inputs beyond the plan. The zero value
+// executes the plan once, with no result cache.
+type Run struct {
+	// Results is the semantic result cache consulted at submit boundaries
+	// (see SubmitCache). Nil leaves execution bit-identical to a build
+	// without the cache.
+	Results SubmitCache
+	// Predicted maps plan nodes to the optimizer's estimated output
+	// cardinality (CountObject). Only the adaptive staging loop reads it
+	// (Engine.Replan wired); nodes without an entry are never checked.
+	Predicted map[*algebra.Node]float64
 }
 
 // Engine executes optimized plans.
@@ -117,20 +127,17 @@ type Engine struct {
 	// mediator uses it to drop the wrapper's cost rules so estimation
 	// falls back to the generic model.
 	OnUnavailable func(wrapper string)
-	// Results, when set, is the semantic result cache consulted at submit
-	// boundaries (see SubmitCache). Nil leaves execution bit-identical to
-	// a build without the cache.
-	Results SubmitCache
 	// Exec configures the vectorized pipeline: morsel workers inside
 	// breakers, the spill memory budget, spill directory and batch size.
 	// The zero value (sequential, no spill) is the bit-identical mode.
 	Exec vexec.Options
-	// Adaptive configures mid-flight re-optimization (ExecuteAdaptive);
-	// the zero value disables it and nothing below changes.
+	// Adaptive tunes mid-flight re-optimization; it is read only when
+	// Replan is wired.
 	Adaptive AdaptiveOptions
-	// Replan, set by the mediator when Adaptive is on, re-costs the
-	// remaining plan of a paused query with materialized subtrees pinned
-	// as exact leaves. Nil disables adaptive switching even when enabled.
+	// Replan, set by the mediator when adaptive re-optimization is on,
+	// re-costs the remaining plan of a paused query with materialized
+	// subtrees pinned as exact leaves. Nil (the default) means Execute
+	// never stages and never replans.
 	Replan func(*ReplanRequest) (*ReplanResult, error)
 }
 
@@ -210,9 +217,9 @@ type Result struct {
 	// are recorded too — a degraded run's profile is never silently
 	// empty.
 	Profile *feedback.Profile
-	// Replans counts mid-flight re-cost attempts by the adaptive
-	// executor; PlanSwitches counts the ones that actually switched the
-	// running plan. Both are zero on the non-adaptive path.
+	// Replans counts mid-flight re-cost attempts by the adaptive staging
+	// loop; PlanSwitches counts the ones that actually switched the
+	// running plan. Both are zero unless Replan is wired.
 	Replans      int
 	PlanSwitches int
 	// ExecutedPlan is the plan that finished the query when it differs
@@ -233,14 +240,18 @@ type submitFacts struct {
 }
 
 // execState accumulates per-execution degradation facts, the profile
-// under construction, and the per-submit transport facts.
+// under construction, the per-submit transport facts, and — when the
+// adaptive loop stages the plan — the materialized output of every
+// completed stage.
 type execState struct {
+	results  SubmitCache
 	excluded map[string]bool
 	prof     *feedback.Profile
 	submits  map[*algebra.Node]*submitFacts
-	// cacheGen is the result cache's invalidation generation at execution
-	// start; Put carries it so a mid-query invalidation voids the insert.
-	cacheGen uint64
+	// mat is keyed by stage root (nil unless staging). A switched plan
+	// reuses the same leaf-unit node pointers, so entries stay valid
+	// across switches.
+	mat map[*algebra.Node][]types.Row
 }
 
 func (st *execState) exclude(name string) {
@@ -254,23 +265,31 @@ func (st *execState) exclude(name string) {
 // virtual time it took. A submit whose wrapper is (or becomes) unavailable
 // does not fail the query: its subtree contributes no rows and the result
 // is marked Partial with the wrapper listed in Excluded.
-func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
+//
+// With Replan wired the plan first runs stage by stage through its
+// materialization boundaries, which may switch the plan mid-flight (see
+// stage); without it the whole plan is the one and only stage.
+func (e *Engine) Execute(plan *algebra.Node, run Run) (*Result, error) {
 	watch := netsim.StartWatch(e.clock)
-	st := execState{prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
-	if e.Results != nil {
-		st.cacheGen = e.Results.Begin()
+	st := execState{results: run.Results, prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
+	res := &Result{}
+	cur := plan
+	if e.Replan != nil {
+		var err error
+		if cur, err = e.stage(plan, run.Predicted, &st, res); err != nil {
+			return nil, err
+		}
 	}
-	counts := vexec.Counts{}
-	rows, err := vexec.Run(plan, &vexec.Env{
-		Opts:   e.Exec,
-		Counts: counts,
-		Leaf:   func(n *algebra.Node) ([]types.Row, bool, error) { return e.leaf(n, &st) },
-	})
+	// Final stage: whatever remains of the (possibly switched) plan, with
+	// every earlier stage served from its materialization.
+	rows, err := e.runStage(cur, &st)
 	if err != nil {
 		return nil, err
 	}
-	e.charge(plan, counts, &st)
-	res := &Result{Rows: rows, Schema: plan.OutSchema, ElapsedMS: watch.ElapsedMS(), Profile: st.prof}
+	res.Rows = rows
+	res.Schema = cur.OutSchema
+	res.ElapsedMS = watch.ElapsedMS()
+	res.Profile = st.prof
 	if len(st.excluded) > 0 {
 		res.Partial = true
 		res.Excluded = make([]string, 0, len(st.excluded))
@@ -281,7 +300,29 @@ func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
 	}
 	st.prof.ElapsedMS = res.ElapsedMS
 	st.prof.Partial = res.Partial
+	if res.PlanSwitches > 0 {
+		res.ExecutedPlan = cur
+	}
 	return res, nil
+}
+
+// runStage drains one stage through the vectorized pipeline, serving
+// earlier stages from their materializations, and charges its newly
+// executed operators to the virtual clock.
+func (e *Engine) runStage(root *algebra.Node, st *execState) ([]types.Row, error) {
+	counts := vexec.Counts{}
+	leaf := func(n *algebra.Node) ([]types.Row, bool, error) {
+		if rows, ok := st.mat[n]; ok {
+			return rows, true, nil
+		}
+		return e.leaf(n, st)
+	}
+	rows, err := vexec.Run(root, &vexec.Env{Opts: e.Exec, Counts: counts, Leaf: leaf})
+	if err != nil {
+		return nil, err
+	}
+	e.charge(root, counts, st)
+	return rows, nil
 }
 
 // leaf is the pipeline's Leaf hook: it executes submit boundaries
@@ -314,15 +355,13 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 	if e.isDown(n.Wrapper) {
 		// Known-dead source: exclude without touching the transport.
 		// The down check comes before the cache — a cached answer must
-		// never mask an outage into a silently complete result; the
-		// mediator invalidated the cache when it marked the wrapper
-		// down anyway.
+		// never mask an outage into a silently complete result.
 		st.exclude(n.Wrapper)
 		f.excluded = true
 		return nil, nil
 	}
-	if e.Results != nil {
-		if rows, ok := e.Results.Get(n.StructuralHash()); ok {
+	if st.results != nil {
+		if rows, ok := st.results.Get(n.StructuralHash()); ok {
 			// Serve the materialized subtree: charge the ScopeCache
 			// formula instead of the wrapper and the wire.
 			e.clock.Advance(resultcache.HitFloorMS + float64(len(rows))*e.costs.CachePerObj)
@@ -352,11 +391,11 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 	if e.SubmitHook != nil {
 		e.SubmitHook(n.Wrapper, n.Children[0], e.clock.Now()-start, len(res.Rows), res.Bytes)
 	}
-	if e.Results != nil {
+	if st.results != nil {
 		// Only a complete wrapper answer is offered; the excluded paths
 		// above return before reaching here, so a partial run can never
 		// seed the cache (the partial-answer leakage guard).
-		e.Results.Put(n.StructuralHash(), res.Rows, n.OutSchema, res.Bytes, st.cacheGen)
+		st.results.Put(n.StructuralHash(), res.Rows, n.OutSchema, res.Bytes)
 	}
 	return res.Rows, nil
 }
@@ -371,7 +410,13 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 // wrapper executed the subtree; there are no mediator charges under it).
 // Breaker charges (sort, hash, pair matching) are divided by
 // MorselSpeedup — the simulated benefit of intra-query parallelism.
+// Nodes already in the profile were charged by an earlier stage: they
+// return their recorded actuals without advancing the clock again, since
+// re-reading a materialized row set is free.
 func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *feedback.OpActual {
+	if a, ok := st.prof.ByNode[n]; ok {
+		return a
+	}
 	if n.Kind == algebra.OpSubmit {
 		f := st.submits[n]
 		if f == nil {

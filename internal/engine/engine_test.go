@@ -84,7 +84,7 @@ func TestExecuteSubmit(t *testing.T) {
 		algebra.Select(algebra.Scan("obj1", "Employee"),
 			algebra.NewSelPred(algebra.Ref{Collection: "Employee", Attr: "id"}, stats.CmpLT, types.Int(20))),
 		"obj1"))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestExecuteCrossSourceJoin(t *testing.T) {
 				algebra.Ref{Collection: "Employee", Attr: "dept"},
 				algebra.Ref{Collection: "Dept", Attr: "dno"})),
 		"Employee.name", "Dept.dname"))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestExecuteMediatorOps(t *testing.T) {
 			[]algebra.Ref{{Collection: "Employee", Attr: "dept"}},
 			[]algebra.AggSpec{{Func: algebra.AggCount, Star: true, As: "n"}}),
 		algebra.SortKey{Attr: algebra.Ref{Attr: "dept"}, Desc: true}))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestExecuteUnionDupElim(t *testing.T) {
 				algebra.NewSelPred(algebra.Ref{Attr: "id"}, stats.CmpLT, types.Int(limit))), "obj1")
 	}
 	plan := d.resolve(t, algebra.DupElim(algebra.Union(mk(10), mk(5))))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,16 +162,16 @@ func TestExecuteErrors(t *testing.T) {
 	bad := algebra.Submit(algebra.Scan("zzz", "Employee"), "zzz")
 	bad.OutSchema = types.NewSchema(types.Field{Name: "x", Type: types.KindInt})
 	bad.Children[0].OutSchema = bad.OutSchema
-	if _, err := d.engine.Execute(bad); err == nil {
+	if _, err := d.engine.Execute(bad, Run{}); err == nil {
 		t.Error("unknown wrapper should fail")
 	}
 	// Unplaced scan.
 	scan := d.resolve(t, algebra.Scan("obj1", "Employee"))
-	if _, err := d.engine.Execute(scan); err == nil {
+	if _, err := d.engine.Execute(scan, Run{}); err == nil {
 		t.Error("unplaced scan should fail")
 	}
 	// Unresolved plan.
-	if _, err := d.engine.Execute(algebra.Scan("obj1", "Employee")); err == nil {
+	if _, err := d.engine.Execute(algebra.Scan("obj1", "Employee"), Run{}); err == nil {
 		t.Error("unresolved plan should fail")
 	}
 }
@@ -191,7 +191,7 @@ func TestNetworkChargedOnShip(t *testing.T) {
 	d := buildDeployment(t)
 	plan := d.resolve(t, algebra.Submit(algebra.Scan("obj1", "Employee"), "obj1"))
 	before := d.clock.Now()
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestExecuteThetaJoinFallsToNestedLoop(t *testing.T) {
 			algebra.NewSelPred(algebra.Ref{Attr: "id"}, stats.CmpLT, types.Int(10))), "obj1"),
 		algebra.Submit(algebra.Scan("rel1", "Dept"), "rel1"),
 		pred))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSubmitHookObservesExecutions(t *testing.T) {
 		algebra.Submit(algebra.Scan("rel1", "Dept"), "rel1"),
 		algebra.NewJoinPred(algebra.Ref{Collection: "Employee", Attr: "dept"},
 			algebra.Ref{Collection: "Dept", Attr: "dno"})))
-	if _, err := d.engine.Execute(plan); err != nil {
+	if _, err := d.engine.Execute(plan, Run{}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 || rows != 210 {
@@ -256,7 +256,7 @@ func TestProfileRecordsOperators(t *testing.T) {
 		algebra.NewJoinPred(algebra.Ref{Collection: "Employee", Attr: "dept"},
 			algebra.Ref{Collection: "Dept", Attr: "dno"}))
 	plan := d.resolve(t, algebra.Project(join, "Employee.name", "Dept.dname"))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestProfileRecordsExcludedSubmit(t *testing.T) {
 	plan := d.resolve(t, algebra.Join(subEmp, subDept,
 		algebra.NewJoinPred(algebra.Ref{Collection: "Employee", Attr: "dept"},
 			algebra.Ref{Collection: "Dept", Attr: "dno"})))
-	res, err := d.engine.Execute(plan)
+	res, err := d.engine.Execute(plan, Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,7 +163,7 @@ func TestVectorizedMatchesLegacy(t *testing.T) {
 			wantMS := watch.ElapsedMS()
 
 			dNew := buildDeployment(t)
-			res, err := dNew.engine.Execute(identityPlans(t, dNew)[name])
+			res, err := dNew.engine.Execute(identityPlans(t, dNew)[name], Run{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,13 +191,13 @@ func TestParallelWorkersPreserveRows(t *testing.T) {
 	for name := range identityPlans(t, buildDeployment(t)) {
 		t.Run(name, func(t *testing.T) {
 			dSeq := buildDeployment(t)
-			seq, err := dSeq.engine.Execute(identityPlans(t, dSeq)[name])
+			seq, err := dSeq.engine.Execute(identityPlans(t, dSeq)[name], Run{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			dPar := buildDeployment(t)
 			dPar.engine.Exec = vexec.Options{Workers: 4}
-			par, err := dPar.engine.Execute(identityPlans(t, dPar)[name])
+			par, err := dPar.engine.Execute(identityPlans(t, dPar)[name], Run{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,13 +231,13 @@ func TestMorselSpeedupFactor(t *testing.T) {
 // (here: identical after sorting, since the join output is unique rows).
 func TestSpilledExecutionDegradesGracefully(t *testing.T) {
 	dSeq := buildDeployment(t)
-	seqRes, err := dSeq.engine.Execute(identityPlans(t, dSeq)["joinProject"])
+	seqRes, err := dSeq.engine.Execute(identityPlans(t, dSeq)["joinProject"], Run{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dSp := buildDeployment(t)
 	dSp.engine.Exec = vexec.Options{MemBytes: 1 << 10, SpillDir: t.TempDir()}
-	spRes, err := dSp.engine.Execute(identityPlans(t, dSp)["joinProject"])
+	spRes, err := dSp.engine.Execute(identityPlans(t, dSp)["joinProject"], Run{})
 	if err != nil {
 		t.Fatal(err)
 	}

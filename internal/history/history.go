@@ -3,9 +3,10 @@
 // observed cost vector (TimeFirst, TotalTime, cardinality, size) is
 // recorded as a query-scope rule at the very top of the specialization
 // hierarchy, so the next estimation of the identical subquery returns the
-// real cost. A parameter-adjustment variant nudges an existing wrapper
-// coefficient toward observations instead of storing per-query rules,
-// solving HERMES's proliferation problem the way §4.3.1 proposes.
+// real cost. The parameter-adjustment variant §4.3.1 proposes against
+// HERMES's rule proliferation — adjust existing parameters toward the
+// observations instead of storing per-query rules — is the execution-
+// feedback loop's feedback.Adjuster.
 package history
 
 import (
@@ -184,43 +185,4 @@ func constFormulas(v Vector) ([]core.Formula, error) {
 		out = append(out, f)
 	}
 	return out, nil
-}
-
-// Adjuster implements the parameter-adjustment variant: instead of
-// storing one rule per subquery, it fits an existing input parameter of a
-// wrapper's rules so the formulas reproduce observed costs (paper §4.3.1:
-// "we store only the adjusted parameters instead of new formulas").
-type Adjuster struct {
-	// Damping blends each observation into the parameter: 1 jumps to the
-	// implied value, smaller values converge smoothly.
-	Damping float64
-}
-
-// NewAdjuster returns an adjuster with 0.5 damping.
-func NewAdjuster() *Adjuster { return &Adjuster{Damping: 0.5} }
-
-// Adjust scales the named global of a wrapper's rules by the
-// estimate-to-actual ratio, damped. It mutates the shared Globals table
-// of that wrapper's rules; subsequent estimations see the adjusted
-// parameter. Returns the new value.
-func (a *Adjuster) Adjust(reg *core.Registry, wrapper, name string, estimatedMS, actualMS float64) (float64, error) {
-	if estimatedMS <= 0 || actualMS <= 0 {
-		return 0, fmt.Errorf("history: adjust needs positive estimate and actual")
-	}
-	rules := reg.WrapperRules(wrapper)
-	for _, rule := range rules {
-		if rule.Globals == nil {
-			continue
-		}
-		cur, ok := rule.Globals[name]
-		if !ok {
-			continue
-		}
-		ratio := actualMS / estimatedMS
-		factor := 1 + a.Damping*(ratio-1)
-		next := cur.AsFloat() * factor
-		rule.Globals[name] = types.Float(next)
-		return next, nil
-	}
-	return 0, fmt.Errorf("history: wrapper %s has no global %q", wrapper, name)
 }

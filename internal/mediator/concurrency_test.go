@@ -368,6 +368,48 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// TestPlanCacheOutageRace is the regression for a prepare that races an
+// outage mark: the plan is built, the wrapper it routes to is marked
+// down, and only then is the plan inserted into the cache. The insert
+// carries the generations read before planning, so the next Prepare of
+// the statement must miss and re-plan instead of serving a plan costed
+// against rules the outage dropped. The interleaving is driven step by
+// step, in prepareCached's own order, with no sleeps.
+func TestPlanCacheOutageRace(t *testing.T) {
+	m := buildMediator(t, DefaultConfig())
+	const sql = `SELECT name FROM Employee WHERE id < 10`
+	key := NormalizeSQL(sql)
+
+	m.mu.RLock()
+	s := m.stamp()
+	stale, _, err := m.prepareLocked(sql, false, false)
+	if err != nil {
+		m.mu.RUnlock()
+		t.Fatal(err)
+	}
+	m.markUnavailable("obj1") // the outage lands mid-prepare
+	m.cache.put(key, stale, s)
+	m.mu.RUnlock()
+
+	before := m.Stats()
+	p, err := m.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == stale {
+		t.Fatal("plan built before the outage was served from the cache")
+	}
+	after := m.Stats()
+	if after.PlanCacheHits != before.PlanCacheHits || after.PlanCacheMisses != before.PlanCacheMisses+1 {
+		t.Errorf("plan cache hits/misses %d/%d -> %d/%d, want one miss and no hit",
+			before.PlanCacheHits, before.PlanCacheMisses, after.PlanCacheHits, after.PlanCacheMisses)
+	}
+	// The re-planned statement is cached under the new generations.
+	if again, err := m.Prepare(sql); err != nil || again != p {
+		t.Errorf("re-planned statement not served from the cache (err %v)", err)
+	}
+}
+
 // TestAdmissionControl pins the load-shedding semantics of the
 // max-in-flight semaphore.
 func TestAdmissionControl(t *testing.T) {
@@ -527,28 +569,28 @@ func TestNormalizeSQL(t *testing.T) {
 }
 
 // TestPlanCacheStaleAccounting pins the stale-entry bookkeeping of
-// planCache.get: an epoch-stale eviction is exactly one miss AND one
+// planCache.get: a dead-stamp eviction is exactly one miss AND one
 // stale — Stale is a subset of Misses, never a third disjoint outcome —
 // and plain misses leave the stale counter alone.
 func TestPlanCacheStaleAccounting(t *testing.T) {
 	c := newPlanCache(4)
-	c.put("q", &Prepared{SQL: "q", Epoch: 1})
+	c.put("q", &Prepared{SQL: "q", Epoch: 1}, stamp{data: 1})
 
-	// Epoch bump between put and get: evicted on sight, one miss + one
-	// stale.
-	if _, ok := c.get("q", 2); ok {
+	// Generation advance between put and get: evicted on sight, one miss
+	// + one stale.
+	if _, ok := c.get("q", stamp{data: 2}); ok {
 		t.Fatal("epoch-stale plan served")
 	}
 	hits, misses, stale := c.counters()
 	if hits != 0 || misses != 1 || stale != 1 {
 		t.Errorf("after stale get: hits/misses/stale = %d/%d/%d, want 0/1/1", hits, misses, stale)
 	}
-	if c.len() != 0 {
-		t.Errorf("stale entry not evicted: len = %d", c.len())
+	if c.len(stamp{data: 1}) != 0 {
+		t.Errorf("stale entry not evicted: len = %d", c.len(stamp{data: 1}))
 	}
 
 	// A plain miss on an unknown key counts a miss only.
-	if _, ok := c.get("q", 2); ok {
+	if _, ok := c.get("q", stamp{data: 2}); ok {
 		t.Fatal("evicted plan served")
 	}
 	hits, misses, stale = c.counters()
@@ -557,8 +599,8 @@ func TestPlanCacheStaleAccounting(t *testing.T) {
 	}
 
 	// The refreshed entry hits under the new epoch.
-	c.put("q", &Prepared{SQL: "q", Epoch: 2})
-	if _, ok := c.get("q", 2); !ok {
+	c.put("q", &Prepared{SQL: "q", Epoch: 2}, stamp{data: 2})
+	if _, ok := c.get("q", stamp{data: 2}); !ok {
 		t.Fatal("refreshed plan missing")
 	}
 	hits, misses, stale = c.counters()
@@ -567,10 +609,8 @@ func TestPlanCacheStaleAccounting(t *testing.T) {
 	}
 
 	// Stats() exposes the same counters with the same subset
-	// relationship. (Register clears the cache outright, so a live
-	// mediator sees the stale path only when an entry survives an epoch
-	// bump — e.g. a get racing a registration; the unit part above pins
-	// that path directly.)
+	// relationship: the query after the registration finds its entry
+	// retired by the generation advance.
 	m := buildMediator(t, DefaultConfig())
 	if _, err := m.Query(`SELECT name FROM Employee WHERE id < 5`); err != nil {
 		t.Fatal(err)
@@ -579,7 +619,7 @@ func TestPlanCacheStaleAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := m.Wrapper("rel1")
-	if err := m.Register(w); err != nil { // epoch bump + cache clear
+	if err := m.Register(w); err != nil { // epoch bump + generation advance
 		t.Fatal(err)
 	}
 	if _, err := m.Query(`SELECT name FROM Employee WHERE id < 5`); err != nil {

@@ -65,9 +65,6 @@ type Config struct {
 	// across restarts (the snapshot loads at construction; saves are
 	// debounced — see FeedbackSaveInterval — and flushed by Close).
 	FeedbackStore feedback.Store
-	// FeedbackWindow sizes the q-error accumulators' ring buffers
-	// (<= 0 uses the package default).
-	FeedbackWindow int
 	// FeedbackSaveInterval debounces snapshot persistence: absorbed
 	// executions inside the window coalesce into one deferred save,
 	// written by the first absorption past the window or by Close. Zero
@@ -75,9 +72,10 @@ type Config struct {
 	// execution (the pre-debounce behaviour).
 	FeedbackSaveInterval time.Duration
 	// PlanCacheSize bounds the prepared-plan cache in entries. Zero uses
-	// DefaultPlanCacheSize; negative disables caching. Cached plans are
-	// invalidated by catalog epoch (any re-registration), by wrapper
-	// outages, and by feedback corrections.
+	// DefaultPlanCacheSize; negative disables caching. A cached plan is
+	// live only while both model generations it was planned under still
+	// match: any registration, wrapper outage or feedback correction
+	// retires it (DESIGN.md §9).
 	PlanCacheSize int
 	// ResultCache configures the semantic result cache
 	// (internal/resultcache): materialized row sets keyed by the 128-bit
@@ -85,9 +83,11 @@ type Config struct {
 	// boundaries, and priced by the optimizer as a ScopeCache access
 	// path. Off by default (the zero value); a disabled cache leaves
 	// chosen plans and results bit-identical to a build without the
-	// subsystem. Entries are invalidated by catalog epoch bumps, wrapper
-	// outage marks and feedback adjustments — the same hooks that clear
-	// the plan cache — and Result.Partial answers are never admitted.
+	// subsystem. An entry is live only while the data generation it was
+	// computed under still matches: registrations, wrapper outage marks
+	// and catalog-touching feedback corrections retire it, coefficient-
+	// only refits do not (DESIGN.md §11). Result.Partial answers are
+	// never admitted.
 	ResultCache resultcache.Config
 	// MaxInFlight caps concurrently admitted queries (Query, ExecutePlan,
 	// Explain, ExplainAnalyze). Zero means unlimited. Excess callers
@@ -115,13 +115,14 @@ type Config struct {
 	// OS temp dir).
 	ExecSpillDir string
 	// Adaptive enables mid-flight adaptive re-optimization (DESIGN.md
-	// §14): execution pauses at materialization boundaries — submit
-	// leaves and pipeline breakers — compares observed cardinalities
-	// against the optimizer's predictions, and past the q-error
-	// threshold re-costs the remaining plan with the materialized
-	// subtrees pinned as exact zero-cost leaves, switching when the
-	// candidate wins by the hysteresis margin. Off by default: with the
-	// zero value the mediator's plans, results and timings are
+	// §14) by wiring the engine's Replan hook: Execute then pauses at
+	// materialization boundaries — submit leaves and pipeline breakers —
+	// compares observed cardinalities against the optimizer's
+	// predictions, and past the q-error threshold re-costs the remaining
+	// plan with the materialized subtrees pinned as exact zero-cost
+	// leaves, switching (at most engine.DefaultAdaptiveMaxSwitches times)
+	// when the candidate wins by the hysteresis margin. Off by default:
+	// with no Replan the same driver runs the whole plan as one stage,
 	// bit-identical to a build without the subsystem.
 	Adaptive bool
 	// AdaptiveThreshold is the cardinality q-error that triggers a
@@ -130,9 +131,6 @@ type Config struct {
 	// AdaptiveMargin is the fraction a re-costed plan must win by before
 	// the engine switches (0 uses engine.DefaultAdaptiveMargin).
 	AdaptiveMargin float64
-	// AdaptiveMaxSwitches bounds plan switches per query (0 uses
-	// engine.DefaultAdaptiveMaxSwitches).
-	AdaptiveMaxSwitches int
 }
 
 // DefaultConfig enables wrapper rules and history with default search
@@ -196,6 +194,18 @@ type Mediator struct {
 	// so estimation falls back to the generic calibrated model — the
 	// paper's behaviour for sources that are only partially registered.
 	unavailable map[string]bool
+
+	// dataGen and costGen are the model generations every cached
+	// artifact is stamped with — the one invalidation rule of both
+	// caches. dataGen advances on registration, on a wrapper outage mark
+	// and on feedback corrections that touch the catalog; costGen on
+	// coefficient-only refits. A cached plan is live only while both
+	// still match the values read before it was planned; a cached result
+	// only while dataGen matches the value read when its execution
+	// started. Each advance happens after the change it announces, so a
+	// reader that sees the new value also sees the change.
+	dataGen atomic.Uint64
+	costGen atomic.Uint64
 
 	cache *planCache
 	// rcache is the semantic result cache (nil unless
@@ -269,7 +279,7 @@ func New(cfg Config) (*Mediator, error) {
 		m.History = history.NewRecorder(reg)
 	}
 	if cfg.Feedback {
-		m.Feedback = feedback.NewRecorder(cfg.FeedbackWindow)
+		m.Feedback = feedback.NewRecorder(0) // 0: the package's default window
 		m.Adjuster = feedback.NewAdjuster()
 		if cfg.FeedbackStore != nil {
 			// A missing or corrupt snapshot loads as empty; persisted
@@ -315,15 +325,10 @@ func (m *Mediator) rebuildEngine() error {
 		}
 	}
 	eng.OnUnavailable = m.markUnavailable
-	if m.rcache != nil {
-		eng.Results = submitCacheAdapter{m}
-	}
 	if m.cfg.Adaptive {
 		eng.Adaptive = engine.AdaptiveOptions{
-			Enabled:     true,
-			Threshold:   m.cfg.AdaptiveThreshold,
-			Margin:      m.cfg.AdaptiveMargin,
-			MaxSwitches: m.cfg.AdaptiveMaxSwitches,
+			Threshold: m.cfg.AdaptiveThreshold,
+			Margin:    m.cfg.AdaptiveMargin,
 		}
 		eng.Replan = m.replan
 	}
@@ -356,14 +361,19 @@ func (m *Mediator) replan(req *engine.ReplanRequest) (*engine.ReplanResult, erro
 	return rr, nil
 }
 
-// execute runs a prepared plan on the engine — adaptively when enabled,
-// through the unmodified one-shot path otherwise — and rolls the
-// adaptive counters. Callers hold the read lock.
-func (m *Mediator) execute(eng *engine.Engine, p *Prepared) (*engine.Result, error) {
-	if !m.cfg.Adaptive {
-		return eng.Execute(p.Plan)
+// execute runs a prepared plan on the engine and rolls the adaptive
+// counters. gen is the data generation read at execution start; every
+// submit result the run caches is stamped with it. Callers hold the read
+// lock.
+func (m *Mediator) execute(eng *engine.Engine, p *Prepared, gen uint64) (*engine.Result, error) {
+	var run engine.Run
+	if m.rcache != nil {
+		run.Results = submitCache{m: m, gen: gen}
 	}
-	res, err := eng.ExecuteAdaptive(p.Plan, predictedRows(p.Cost))
+	if m.cfg.Adaptive {
+		run.Predicted = predictedRows(p.Cost)
+	}
+	res, err := eng.Execute(p.Plan, run)
 	if res != nil {
 		if res.Replans > 0 {
 			m.replans.Add(int64(res.Replans))
@@ -388,32 +398,38 @@ func predictedRows(pc *core.PlanCost) map[*algebra.Node]float64 {
 	return out
 }
 
-// submitCacheAdapter exposes the mediator's semantic result cache to the
-// engine's submit boundaries. Lookups validate against the live catalog
-// epoch; inserts stamp it. Engine executions run under the mediator's
-// read lock, so the epoch reads here are properly synchronized against
-// registrations.
-type submitCacheAdapter struct{ m *Mediator }
+// submitCache exposes the mediator's semantic result cache to one
+// execution's submit boundaries: lookups check entries against the live
+// data generation, inserts carry the one read at execution start.
+type submitCache struct {
+	m   *Mediator
+	gen uint64
+}
 
-func (a submitCacheAdapter) Begin() uint64 { return a.m.rcache.Gen() }
-
-func (a submitCacheAdapter) Get(h algebra.Hash128) ([]types.Row, bool) {
-	e, ok := a.m.rcache.Get(h, a.m.Catalog.Epoch())
+func (c submitCache) Get(h algebra.Hash128) ([]types.Row, bool) {
+	e, ok := c.m.rcache.Get(h, c.m.dataGen.Load())
 	if !ok {
 		return nil, false
 	}
 	return e.Rows, true
 }
 
-func (a submitCacheAdapter) Put(h algebra.Hash128, rows []types.Row, schema *types.Schema, bytes int64, gen uint64) {
-	a.m.rcache.Put(h, rows, schema, a.m.Catalog.Epoch(), bytes, gen)
+func (c submitCache) Put(h algebra.Hash128, rows []types.Row, schema *types.Schema, bytes int64) {
+	c.m.rcache.Put(h, rows, schema, c.gen, bytes)
+}
+
+// stamp reads both model generations; read it before the work whose
+// product it will stamp.
+func (m *Mediator) stamp() stamp {
+	return stamp{data: m.dataGen.Load(), cost: m.costGen.Load()}
 }
 
 // markUnavailable degrades the mediator after a source outage: the
 // wrapper's collections stop being preferred at bind time, its
 // wrapper-specific cost rules are dropped so estimation over surviving
-// copies falls back to the generic calibrated model, and cached plans —
-// which may still route subqueries to the dead source — are invalidated.
+// copies falls back to the generic calibrated model, and the data
+// generation advances — retiring cached plans, which may still route
+// subqueries to the dead source, and cached results computed against it.
 // Called from engine callbacks while the read lock is held; it must not
 // touch mu.
 func (m *Mediator) markUnavailable(name string) {
@@ -425,11 +441,7 @@ func (m *Mediator) markUnavailable(name string) {
 	m.unavailable[name] = true
 	m.downMu.Unlock()
 	m.Registry.DropWrapper(name)
-	m.cache.clear()
-	// Results computed against the now-dead source are suspect, and the
-	// generation bump refuses inserts from executions that raced this
-	// outage — a Partial answer in flight can never seed the cache.
-	m.rcache.Invalidate()
+	m.dataGen.Add(1)
 }
 
 // Available reports whether a registered wrapper is currently usable.
@@ -473,8 +485,9 @@ func (m *Mediator) downedSnapshot() map[string]bool {
 // plus cost-rule integration (paper Figure 1). Re-registering a name
 // replaces its catalog entry and rules (the paper's administrative
 // re-registration interface). Registration takes the write lock — it
-// drains in-flight queries, bumps the catalog epoch (invalidating every
-// cached plan), and publishes a fresh engine.
+// drains in-flight queries, bumps the catalog epoch and the data
+// generation (retiring every cached plan and result), and publishes a
+// fresh engine.
 func (m *Mediator) Register(w wrapper.Wrapper) error {
 	if w.Clock() != m.Clock {
 		return fmt.Errorf("mediator: wrapper %s does not share the mediator clock", w.Name())
@@ -508,10 +521,7 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 		// entry becomes the new correction base and the factor re-applies.
 		m.Adjuster.Reapply(m.Catalog)
 	}
-	m.cache.clear()
-	// The epoch bump already invalidates lookups; an explicit clear
-	// releases the memory eagerly and voids raced inserts too.
-	m.rcache.Invalidate()
+	m.dataGen.Add(1)
 	return m.rebuildEngine()
 }
 
@@ -553,15 +563,15 @@ func (m *Mediator) Prepare(sql string) (*Prepared, error) {
 // caches the result. Callers hold the read lock.
 func (m *Mediator) prepareCached(sql string) (*Prepared, error) {
 	key := NormalizeSQL(sql)
-	epoch := m.Catalog.Epoch()
-	if p, ok := m.cache.get(key, epoch); ok {
+	s := m.stamp()
+	if p, ok := m.cache.get(key, s); ok {
 		return p, nil
 	}
 	p, _, err := m.prepareLocked(sql, false, false)
 	if err != nil {
 		return nil, err
 	}
-	m.cache.put(key, p)
+	m.cache.put(key, p, s)
 	return p, nil
 }
 
@@ -593,7 +603,7 @@ func (m *Mediator) prepareLocked(sql string, trace, capture bool) (*Prepared, *c
 	// workers must all see one consistent view for the chosen plan to
 	// stay deterministic. A nil view (cache disabled or empty) leaves the
 	// search bit-identical to the cache-less build.
-	if view := m.rcache.SnapshotView(m.Catalog.Epoch()); view != nil {
+	if view := m.rcache.SnapshotView(m.dataGen.Load()); view != nil {
 		opts.CacheView = view
 	}
 	res, err := optimizer.New(m.Catalog, est, opts).Optimize(block)
@@ -643,7 +653,7 @@ func (m *Mediator) Warm(sql string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if m.rcache == nil || m.rcache.Peek(p.Hash, p.Epoch) {
+	if m.rcache == nil || m.rcache.Peek(p.Hash, m.dataGen.Load()) {
 		return false, nil
 	}
 	if _, err := m.executeAdmitted(p); err != nil {
@@ -688,8 +698,9 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 		m.reprepares.Add(1)
 		p = fresh
 	}
+	gen := m.dataGen.Load()
 	if m.rcache != nil {
-		if e, ok := m.rcache.Get(p.Hash, p.Epoch); ok {
+		if e, ok := m.rcache.Get(p.Hash, gen); ok {
 			// Whole-plan hit: serve the materialized answer, charging the
 			// ScopeCache formula to the virtual clock. No profile is
 			// attached — there is nothing here the feedback loop should
@@ -702,16 +713,14 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 			return res, nil
 		}
 	}
-	gen := m.rcache.Gen()
 	eng := m.Engine
-	res, err := m.execute(eng, p)
+	res, err := m.execute(eng, p, gen)
 	if err == nil && res != nil && !res.Partial && m.rcache != nil {
-		// Admit the complete answer under the read lock (no registration
-		// can interleave, so the epoch stamp is the one the plan ran
-		// under). Partial answers are refused here, and gen — snapshotted
-		// before execution — voids the insert if an outage mark or
-		// feedback adjustment invalidated the cache mid-run.
-		m.rcache.Put(p.Hash, res.Rows, res.Schema, p.Epoch, 0, gen)
+		// Admit the complete answer stamped with the generation read
+		// before execution: if an outage mark advanced it mid-run, the
+		// entry is dead on arrival and never served. Partial answers are
+		// refused outright.
+		m.rcache.Put(p.Hash, res.Rows, res.Schema, gen, 0)
 	}
 	m.mu.RUnlock()
 	if err != nil {
@@ -760,21 +769,23 @@ func (m *Mediator) absorbLocked(p *Prepared, res *engine.Result) *feedback.Repor
 	if m.Adjuster != nil {
 		if adj := m.Adjuster.Apply(rep, m.Catalog, m.Estimator.Globals); len(adj) > 0 {
 			// The corrections changed the model cached plans were costed
-			// against; drop them so the next prepare re-plans.
-			m.cache.clear()
-			// Materialized results are dropped only for catalog-touching
-			// corrections: a statistics fix means observations contradicted
-			// the model, so re-executing is the conservative move. Pure
-			// time-coefficient refits are exempt — they change nothing
-			// about what a plan returns and fire on almost every absorbed
-			// execution, so honoring them would starve the result cache
-			// under feedback.
+			// against, so one generation advances and the next prepare
+			// re-plans. Catalog-touching corrections advance the data
+			// generation, retiring cached results too: a statistics fix
+			// means observations contradicted the model, so re-executing
+			// is the conservative move. Pure time-coefficient refits
+			// advance only the cost generation — they change nothing about
+			// what a plan returns and fire on almost every absorbed
+			// execution, so retiring answers for them would starve the
+			// result cache under feedback.
+			gen := &m.costGen
 			for _, ad := range adj {
 				if !ad.CostOnly() {
-					m.rcache.Invalidate()
+					gen = &m.dataGen
 					break
 				}
 			}
+			gen.Add(1)
 		}
 	}
 	if m.deb != nil {
@@ -802,19 +813,20 @@ func (m *Mediator) Close() error {
 // Stats is a point-in-time snapshot of the serving counters.
 type Stats struct {
 	// PlanCacheHits/Misses/Stale count cache lookups; Stale is the
-	// subset of misses caused by a catalog epoch bump.
+	// subset of misses that found an entry retired by a generation
+	// advance.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 	PlanCacheStale  int64
-	// PlanCacheEntries is the current cache population.
+	// PlanCacheEntries is the number of live cached plans.
 	PlanCacheEntries int
 	// Result-cache counters (all zero when Config.ResultCache is
 	// disabled). Hits and misses count lookups at whole-plan and submit
-	// granularity; Stale and Expired are the miss subsets evicted by an
-	// epoch bump or the TTL. Evictions counts budget displacements,
-	// Invalidations whole-cache clears (registration, outage, feedback
-	// adjustment), Rejected refused inserts (raced invalidations,
-	// over-budget results).
+	// granularity; Stale and Expired are the miss subsets evicted by a
+	// data-generation advance or the TTL. Evictions counts budget
+	// displacements, Invalidations data-generation advances (each one
+	// retires every cached answer: registration, outage, catalog-touching
+	// feedback correction), Rejected refused over-budget results.
 	ResultCacheHits          int64
 	ResultCacheMisses        int64
 	ResultCacheStale         int64
@@ -822,7 +834,7 @@ type Stats struct {
 	ResultCacheEvictions     int64
 	ResultCacheInvalidations int64
 	ResultCacheRejected      int64
-	// ResultCacheEntries/Bytes are the current population and its
+	// ResultCacheEntries/Bytes are the live population and its
 	// estimated memory footprint.
 	ResultCacheEntries int
 	ResultCacheBytes   int64
@@ -859,23 +871,23 @@ func (m *Mediator) Stats() Stats {
 	m.mu.RLock()
 	epoch := m.Catalog.Epoch()
 	m.mu.RUnlock()
+	live := m.stamp()
 	h, mi, st := m.cache.counters()
-	rc := m.rcache.Counters()
+	rc := m.rcache.Counters(live.data)
 	s := Stats{
 		PlanCacheHits:    h,
 		PlanCacheMisses:  mi,
 		PlanCacheStale:   st,
-		PlanCacheEntries: m.cache.len(),
+		PlanCacheEntries: m.cache.len(live),
 
-		ResultCacheHits:          rc.Hits,
-		ResultCacheMisses:        rc.Misses,
-		ResultCacheStale:         rc.Stale,
-		ResultCacheExpired:       rc.Expired,
-		ResultCacheEvictions:     rc.Evictions,
-		ResultCacheInvalidations: rc.Invalidations,
-		ResultCacheRejected:      rc.Rejected,
-		ResultCacheEntries:       rc.Entries,
-		ResultCacheBytes:         rc.Bytes,
+		ResultCacheHits:      rc.Hits,
+		ResultCacheMisses:    rc.Misses,
+		ResultCacheStale:     rc.Stale,
+		ResultCacheExpired:   rc.Expired,
+		ResultCacheEvictions: rc.Evictions,
+		ResultCacheRejected:  rc.Rejected,
+		ResultCacheEntries:   rc.Entries,
+		ResultCacheBytes:     rc.Bytes,
 
 		Reprepares:       m.reprepares.Load(),
 		Shed:             m.adm.shedCount(),
@@ -886,6 +898,11 @@ func (m *Mediator) Stats() Stats {
 		AdaptiveReplans:  m.replans.Load(),
 		AdaptiveSwitches: m.planSwitches.Load(),
 		Epoch:            epoch,
+	}
+	if m.rcache != nil {
+		// The data generation counts its own advances, and each one
+		// retired every cached answer.
+		s.ResultCacheInvalidations = int64(live.data)
 	}
 	if m.deb != nil {
 		s.FeedbackSaves = m.deb.Saves()
@@ -933,8 +950,9 @@ func (m *Mediator) ExplainAnalyze(sql string) (string, error) {
 		m.mu.RUnlock()
 		return "", err
 	}
+	gen := m.dataGen.Load()
 	eng := m.Engine
-	res, err := m.execute(eng, p)
+	res, err := m.execute(eng, p, gen)
 	m.mu.RUnlock()
 	if err != nil {
 		return "", err

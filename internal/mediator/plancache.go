@@ -11,13 +11,18 @@ import (
 // Config.PlanCacheSize is zero.
 const DefaultPlanCacheSize = 256
 
+// stamp is the pair of model generations a cached artifact was built
+// under (see Mediator.dataGen and Mediator.costGen).
+type stamp struct{ data, cost uint64 }
+
 // planCache is a bounded LRU of prepared plans keyed by normalized SQL.
-// Every entry remembers the catalog epoch it was planned under; a lookup
-// against a newer epoch evicts the entry instead of returning it, so a
-// re-registration (new statistics, new cost rules, revived wrapper)
-// implicitly invalidates every plan built on the old federation. The
-// cache has its own mutex — it is touched from the read-locked query
-// path, where the mediator's big lock admits many goroutines at once.
+// Every entry carries the stamp read before its plan was built; a lookup
+// under a different stamp evicts the entry instead of returning it, so
+// any change to the model the plan was costed against — registration,
+// outage, feedback correction — retires it. Dead entries nobody looks up
+// age out of the LRU. The cache has its own mutex — it is touched from
+// the read-locked query path, where the mediator's big lock admits many
+// goroutines at once.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -26,12 +31,13 @@ type planCache struct {
 
 	hits   int64
 	misses int64
-	stale  int64 // misses caused by an epoch bump
+	stale  int64 // misses that found a dead entry
 }
 
 type planEntry struct {
 	key string
 	p   *Prepared
+	s   stamp
 }
 
 // newPlanCache returns a cache bounded to capacity entries, or nil when
@@ -50,9 +56,9 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// get returns the cached plan for key if it was prepared under the given
-// catalog epoch. Epoch-stale entries are evicted on sight.
-func (c *planCache) get(key string, epoch uint64) (*Prepared, bool) {
+// get returns the cached plan for key if it was prepared under stamp s.
+// Dead entries are evicted on sight.
+func (c *planCache) get(key string, s stamp) (*Prepared, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -64,7 +70,7 @@ func (c *planCache) get(key string, epoch uint64) (*Prepared, bool) {
 		return nil, false
 	}
 	e := el.Value.(*planEntry)
-	if e.p.Epoch != epoch {
+	if e.s != s {
 		c.lru.Remove(el)
 		delete(c.byKey, key)
 		c.stale++
@@ -76,17 +82,19 @@ func (c *planCache) get(key string, epoch uint64) (*Prepared, bool) {
 	return e.p, true
 }
 
-// put stores a prepared plan, evicting the least recently used entry at
+// put stores a prepared plan under stamp s, which must have been read
+// before planning started, evicting the least recently used entry at
 // capacity. Cached Prepared values are shared across goroutines and must
 // never be mutated after insertion.
-func (c *planCache) put(key string, p *Prepared) {
+func (c *planCache) put(key string, p *Prepared, s stamp) {
 	if c == nil || key == "" || p == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*planEntry).p = p
+		e := el.Value.(*planEntry)
+		e.p, e.s = p, s
 		c.lru.MoveToFront(el)
 		return
 	}
@@ -97,28 +105,23 @@ func (c *planCache) put(key string, p *Prepared) {
 			c.lru.Remove(oldest)
 		}
 	}
-	c.byKey[key] = c.lru.PushFront(&planEntry{key: key, p: p})
+	c.byKey[key] = c.lru.PushFront(&planEntry{key: key, p: p, s: s})
 }
 
-// clear drops every entry (federation change, model correction).
-func (c *planCache) clear() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.byKey = make(map[string]*list.Element, c.cap)
-}
-
-// len reports the number of cached plans.
-func (c *planCache) len() int {
+// len reports the number of cached plans live under stamp s.
+func (c *planCache) len(s stamp) int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.lru.Len()
+	n := 0
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if el.Value.(*planEntry).s == s {
+			n++
+		}
+	}
+	return n
 }
 
 // counters snapshots the hit/miss/stale counters.

@@ -6,18 +6,17 @@
 // submit subtree with one, is served from mediator memory instead of
 // re-submitting to the wrappers.
 //
-// Correctness rests on three invalidation signals, the exact hooks the
-// prepared-plan cache already uses:
-//
-//   - catalog epoch: every entry remembers the registration epoch it was
-//     computed under; a lookup against a newer epoch evicts it (any
-//     re-registration may have changed the data behind the answer).
-//   - outage marks and feedback adjustments: the mediator calls
-//     Invalidate, which clears the cache AND bumps a generation token.
-//   - partial answers: results produced while a wrapper was down are
-//     never admitted (the mediator refuses Result.Partial, and Put
-//     rejects inserts whose generation predates an invalidation — an
-//     execution that raced an outage cannot slip its rows in afterwards).
+// Correctness rests on one rule, the one the mediator's plan cache uses
+// too: every entry carries the generation stamp its caller read when the
+// execution that produced it *started*, and an entry is live only while
+// that stamp still equals the caller's current generation. The mediator
+// supplies its data generation, which advances on every registration,
+// wrapper outage mark and catalog-touching feedback correction. A lookup
+// that finds a dead entry evicts it; dead entries nobody looks up age out
+// of the LRU. Because the stamp predates the work, an execution that
+// raced an outage stores its rows already dead — they are never served.
+// Partial answers are refused by the mediator and never offered by the
+// engine, so a degraded run cannot seed the cache either.
 //
 // TTL runs on the shared virtual clock, so expiry is deterministic under
 // the simulation like every other cost in the system.
@@ -83,9 +82,9 @@ type Entry struct {
 	// operators never mutate their inputs, and sorts copy first).
 	Rows   []types.Row
 	Schema *types.Schema
-	// Epoch is the catalog registration epoch the result was computed
-	// under.
-	Epoch uint64
+	// Stamp is the generation read when the execution that produced the
+	// result started; the entry is live while it equals the current one.
+	Stamp uint64
 	// Bytes is the estimated memory footprint charged to the budget.
 	Bytes int64
 
@@ -96,21 +95,19 @@ type Entry struct {
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	// Hits/Misses count lookups; Stale and Expired are the subsets of
-	// misses that also evicted an entry (epoch bump, TTL). Like the plan
+	// misses that also evicted an entry (dead stamp, TTL). Like the plan
 	// cache, a stale lookup counts as exactly one miss and one stale.
 	Hits    int64
 	Misses  int64
 	Stale   int64
 	Expired int64
-	// Evictions counts entries displaced by the entry or byte budget;
-	// Invalidations counts whole-cache clears (epoch-independent hooks:
-	// outage marks, feedback adjustments, registrations).
-	Evictions     int64
-	Invalidations int64
-	// Rejected counts refused inserts: partial-raced generations and
-	// over-budget results.
+	// Evictions counts entries displaced by the entry or byte budget.
+	Evictions int64
+	// Rejected counts refused inserts: results larger than the byte
+	// budget.
 	Rejected int64
-	// Entries/Bytes are the current population and charged volume.
+	// Entries/Bytes are the live population and its charged volume. Dead
+	// entries still awaiting eviction are not counted.
 	Entries int
 	Bytes   int64
 }
@@ -125,14 +122,9 @@ type Cache struct {
 	lru   *list.List // of *Entry, front = most recent
 	byKey map[algebra.Hash128]*list.Element
 	bytes int64
-	// gen is the invalidation generation: bumped by Invalidate so an
-	// insert whose execution started before the invalidation (Put carries
-	// the generation observed at execution start) is rejected.
-	gen uint64
 
 	hits, misses, stale, expired int64
-	evictions, invalidations     int64
-	rejected                     int64
+	evictions, rejected          int64
 }
 
 // New builds a cache, or returns nil when cfg.Enabled is false — the
@@ -158,24 +150,11 @@ func New(cfg Config, now func() float64) *Cache {
 	}
 }
 
-// Gen returns the current invalidation generation. Callers snapshot it
-// before executing a plan and pass it to Put: if an invalidation (outage
-// mark, feedback adjustment) lands in between, the insert is refused —
-// the result may reflect the state the invalidation retired.
-func (c *Cache) Gen() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// Get returns the cached result for hash if it was computed under the
-// given catalog epoch and has not expired. Epoch-stale and TTL-expired
-// entries are evicted on sight, each counting one miss plus its
-// distinguishing counter.
-func (c *Cache) Get(hash algebra.Hash128, epoch uint64) (*Entry, bool) {
+// Get returns the cached result for hash if its stamp equals gen, the
+// caller's current generation, and it has not expired. Dead and
+// TTL-expired entries are evicted on sight, each counting one miss plus
+// its distinguishing counter.
+func (c *Cache) Get(hash algebra.Hash128, gen uint64) (*Entry, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -187,7 +166,7 @@ func (c *Cache) Get(hash algebra.Hash128, epoch uint64) (*Entry, bool) {
 		return nil, false
 	}
 	e := el.Value.(*Entry)
-	if e.Epoch != epoch {
+	if e.Stamp != gen {
 		c.removeLocked(el)
 		c.stale++
 		c.misses++
@@ -204,12 +183,12 @@ func (c *Cache) Get(hash algebra.Hash128, epoch uint64) (*Entry, bool) {
 	return e, true
 }
 
-// Peek reports whether a live (right-epoch, unexpired) entry exists for
+// Peek reports whether a live (current-stamp, unexpired) entry exists for
 // hash without touching the counters, the LRU order, or stale entries.
 // Cache warmers use it to decide whether a statement still needs to be
 // executed; a Peek is invisible to the hit/miss accounting so warming
 // does not distort the measured hit rate.
-func (c *Cache) Peek(hash algebra.Hash128, epoch uint64) bool {
+func (c *Cache) Peek(hash algebra.Hash128, gen uint64) bool {
 	if c == nil {
 		return false
 	}
@@ -220,7 +199,7 @@ func (c *Cache) Peek(hash algebra.Hash128, epoch uint64) bool {
 		return false
 	}
 	e := el.Value.(*Entry)
-	if e.Epoch != epoch {
+	if e.Stamp != gen {
 		return false
 	}
 	if c.cfg.TTLMS > 0 && c.now()-e.storedMS > c.cfg.TTLMS {
@@ -229,14 +208,13 @@ func (c *Cache) Peek(hash algebra.Hash128, epoch uint64) bool {
 	return true
 }
 
-// Put stores a materialized result, evicting least-recently-used entries
-// until both budgets hold. gen must be the value Gen returned before the
-// execution that produced rows started; a mismatch means an invalidation
-// raced the execution and the insert is refused. Results larger than the
-// byte budget are refused rather than flushing the whole cache. The rows
-// slice is owned by the cache after Put — callers must not append to or
-// mutate it.
-func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema, epoch uint64, bytes int64, gen uint64) {
+// Put stores a materialized result stamped with gen, which must be the
+// generation read before the execution that produced rows started, and
+// evicts least-recently-used entries until both budgets hold. Results
+// larger than the byte budget are refused rather than flushing the whole
+// cache. The rows slice is owned by the cache after Put — callers must
+// not append to or mutate it.
+func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema, gen uint64, bytes int64) {
 	if c == nil {
 		return
 	}
@@ -245,12 +223,12 @@ func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if gen != c.gen || bytes > c.cfg.MaxBytes {
+	if bytes > c.cfg.MaxBytes {
 		c.rejected++
 		return
 	}
 	if el, ok := c.byKey[hash]; ok {
-		// Replace in place (an epoch-stale entry being refreshed).
+		// Replace in place (a dead entry being refreshed).
 		c.removeLocked(el)
 		c.evictions--
 	}
@@ -261,7 +239,7 @@ func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema
 		}
 		c.removeLocked(oldest)
 	}
-	e := &Entry{Rows: rows, Schema: schema, Epoch: epoch, Bytes: bytes, hash: hash, storedMS: c.now()}
+	e := &Entry{Rows: rows, Schema: schema, Stamp: gen, Bytes: bytes, hash: hash, storedMS: c.now()}
 	c.byKey[hash] = c.lru.PushFront(e)
 	c.bytes += bytes
 }
@@ -275,40 +253,29 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.evictions++
 }
 
-// Invalidate drops every entry and bumps the generation, refusing
-// inserts from executions that started before the call. The mediator
-// invokes it on wrapper outage marks and feedback adjustments; catalog
-// epoch bumps invalidate implicitly through Get's epoch check, but
-// registration calls it too so the memory is released eagerly.
-func (c *Cache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	c.invalidations++
-	c.lru.Init()
-	c.byKey = make(map[algebra.Hash128]*list.Element, c.cfg.Entries)
-	c.bytes = 0
-}
-
-// Counters snapshots the cache statistics.
-func (c *Cache) Counters() Stats {
+// Counters snapshots the cache statistics; Entries and Bytes count only
+// the entries live under gen, the caller's current generation.
+func (c *Cache) Counters(gen uint64) Stats {
 	if c == nil {
 		return Stats{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return Stats{
+	s := Stats{
 		Hits: c.hits, Misses: c.misses, Stale: c.stale, Expired: c.expired,
-		Evictions: c.evictions, Invalidations: c.invalidations, Rejected: c.rejected,
-		Entries: c.lru.Len(), Bytes: c.bytes,
+		Evictions: c.evictions, Rejected: c.rejected,
 	}
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*Entry); e.Stamp == gen {
+			s.Entries++
+			s.Bytes += e.Bytes
+		}
+	}
+	return s
 }
 
 // Snapshot is a frozen view of the cache for one plan search: the
-// cardinalities of every entry live under a given epoch at snapshot
+// cardinalities of every entry live under a given generation at snapshot
 // time. The optimizer prices cache-hit access paths against it
 // (optimizer.Options.CacheView) — freezing keeps the parallel search
 // deterministic, since a live view could answer two workers differently.
@@ -326,10 +293,10 @@ func (s *Snapshot) Lookup(h algebra.Hash128) (int64, bool) {
 	return n, ok
 }
 
-// SnapshotView freezes the current-epoch, unexpired entries into a
-// Snapshot. Returns nil when the cache is disabled or empty (no
+// SnapshotView freezes the entries live under gen and unexpired into a
+// Snapshot. Returns nil when the cache is disabled or holds none (no
 // CacheView — zero overhead on the search).
-func (c *Cache) SnapshotView(epoch uint64) *Snapshot {
+func (c *Cache) SnapshotView(gen uint64) *Snapshot {
 	if c == nil {
 		return nil
 	}
@@ -342,7 +309,7 @@ func (c *Cache) SnapshotView(epoch uint64) *Snapshot {
 	rows := make(map[algebra.Hash128]int64, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*Entry)
-		if e.Epoch != epoch {
+		if e.Stamp != gen {
 			continue
 		}
 		if c.cfg.TTLMS > 0 && now-e.storedMS > c.cfg.TTLMS {

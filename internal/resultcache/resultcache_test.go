@@ -31,12 +31,11 @@ func TestResultCacheDisabledNil(t *testing.T) {
 	if c != nil {
 		t.Fatal("zero Config must disable the cache")
 	}
-	c.Put(h(1), rowsOf(3), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(3), nil, 1, 0)
 	if _, ok := c.Get(h(1), 1); ok {
 		t.Error("nil cache returned a hit")
 	}
-	c.Invalidate()
-	if s := c.Counters(); s != (Stats{}) {
+	if s := c.Counters(1); s != (Stats{}) {
 		t.Errorf("nil cache counters = %+v", s)
 	}
 	v := c.SnapshotView(1)
@@ -51,7 +50,7 @@ func TestResultCacheDisabledNil(t *testing.T) {
 // TestResultCacheHitMiss pins the basic LRU behaviour and counters.
 func TestResultCacheHitMiss(t *testing.T) {
 	c := New(enabled(2, 0, 0), nil)
-	c.Put(h(1), rowsOf(2), nil, 7, 0, c.Gen())
+	c.Put(h(1), rowsOf(2), nil, 7, 0)
 	if e, ok := c.Get(h(1), 7); !ok || len(e.Rows) != 2 {
 		t.Fatalf("expected hit with 2 rows, got %v", e)
 	}
@@ -61,18 +60,18 @@ func TestResultCacheHitMiss(t *testing.T) {
 	// Capacity 2: the third insert evicts the least recently used entry.
 	// Inserts push to the front, so after Put(h2), Put(h3) the back is
 	// h(1) — touch it first so h(2) is the LRU victim instead.
-	c.Put(h(2), rowsOf(1), nil, 7, 0, c.Gen())
+	c.Put(h(2), rowsOf(1), nil, 7, 0)
 	if _, ok := c.Get(h(1), 7); !ok {
 		t.Fatal("h(1) missing before over-capacity insert")
 	}
-	c.Put(h(3), rowsOf(1), nil, 7, 0, c.Gen())
+	c.Put(h(3), rowsOf(1), nil, 7, 0)
 	if _, ok := c.Get(h(1), 7); !ok {
 		t.Fatal("h(1) evicted despite being recently used")
 	}
 	if _, ok := c.Get(h(2), 7); ok {
 		t.Fatal("LRU entry h(2) survived over-capacity insert")
 	}
-	s := c.Counters()
+	s := c.Counters(7)
 	if s.Entries != 2 {
 		t.Errorf("entries = %d, want 2", s.Entries)
 	}
@@ -89,11 +88,11 @@ func TestResultCacheHitMiss(t *testing.T) {
 // one stale.
 func TestResultCacheEpochStale(t *testing.T) {
 	c := New(enabled(8, 0, 0), nil)
-	c.Put(h(1), rowsOf(4), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(4), nil, 1, 0)
 	if _, ok := c.Get(h(1), 2); ok {
 		t.Fatal("epoch-stale entry served")
 	}
-	s := c.Counters()
+	s := c.Counters(2)
 	if s.Misses != 1 || s.Stale != 1 || s.Hits != 0 {
 		t.Errorf("after stale get: hits/misses/stale = %d/%d/%d, want 0/1/1", s.Hits, s.Misses, s.Stale)
 	}
@@ -104,7 +103,7 @@ func TestResultCacheEpochStale(t *testing.T) {
 	if _, ok := c.Get(h(1), 2); ok {
 		t.Fatal("evicted entry served")
 	}
-	s = c.Counters()
+	s = c.Counters(2)
 	if s.Misses != 2 || s.Stale != 1 {
 		t.Errorf("after plain miss: misses/stale = %d/%d, want 2/1", s.Misses, s.Stale)
 	}
@@ -116,25 +115,25 @@ func TestResultCacheByteBudget(t *testing.T) {
 	rows := rowsOf(10)
 	per := ApproxBytes(rows)
 	c := New(enabled(100, 2*per+per/2, 0), nil)
-	c.Put(h(1), rows, nil, 1, 0, c.Gen())
-	c.Put(h(2), rows, nil, 1, 0, c.Gen())
-	c.Put(h(3), rows, nil, 1, 0, c.Gen()) // budget holds 2: evicts h(1)
+	c.Put(h(1), rows, nil, 1, 0)
+	c.Put(h(2), rows, nil, 1, 0)
+	c.Put(h(3), rows, nil, 1, 0) // budget holds 2: evicts h(1)
 	if _, ok := c.Get(h(1), 1); ok {
 		t.Error("byte budget did not evict the oldest entry")
 	}
 	if _, ok := c.Get(h(3), 1); !ok {
 		t.Error("newest entry missing")
 	}
-	if s := c.Counters(); s.Bytes > 2*per+per/2 {
+	if s := c.Counters(1); s.Bytes > 2*per+per/2 {
 		t.Errorf("bytes = %d exceeds budget %d", s.Bytes, 2*per+per/2)
 	}
 	// Oversize insert: refused, cache untouched.
 	big := rowsOf(100)
-	c.Put(h(4), big, nil, 1, 0, c.Gen())
+	c.Put(h(4), big, nil, 1, 0)
 	if _, ok := c.Get(h(4), 1); ok {
 		t.Error("over-budget result admitted")
 	}
-	if s := c.Counters(); s.Rejected == 0 {
+	if s := c.Counters(1); s.Rejected == 0 {
 		t.Error("oversize insert not counted as rejected")
 	}
 }
@@ -144,7 +143,7 @@ func TestResultCacheByteBudget(t *testing.T) {
 func TestResultCacheTTL(t *testing.T) {
 	clock := netsim.NewClock()
 	c := New(enabled(8, 0, 100), clock.Now)
-	c.Put(h(1), rowsOf(1), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(1), nil, 1, 0)
 	clock.Advance(99)
 	if _, ok := c.Get(h(1), 1); !ok {
 		t.Fatal("entry expired before its TTL")
@@ -153,7 +152,7 @@ func TestResultCacheTTL(t *testing.T) {
 	if _, ok := c.Get(h(1), 1); ok {
 		t.Fatal("entry served past its TTL")
 	}
-	s := c.Counters()
+	s := c.Counters(1)
 	if s.Expired != 1 || s.Misses != 1 || s.Hits != 1 {
 		t.Errorf("hits/misses/expired = %d/%d/%d, want 1/1/1", s.Hits, s.Misses, s.Expired)
 	}
@@ -163,38 +162,40 @@ func TestResultCacheTTL(t *testing.T) {
 }
 
 // TestResultCacheGenerationRejectsRacedInsert pins the partial-answer
-// race guard: an insert whose generation predates an Invalidate (an
-// outage mark landed while the query executed) is refused.
+// race guard in its stamp form: an execution stamps its insert with the
+// generation it read at start, so an insert from an execution that an
+// outage raced (the generation advanced mid-run) is dead on arrival —
+// never served as a hit, and evicted by the first lookup that finds it.
 func TestResultCacheGenerationRejectsRacedInsert(t *testing.T) {
 	c := New(enabled(8, 0, 0), nil)
-	gen := c.Gen()
-	c.Invalidate() // the outage arrives mid-execution
-	c.Put(h(1), rowsOf(2), nil, 1, 0, gen)
-	if _, ok := c.Get(h(1), 1); ok {
-		t.Fatal("insert from a pre-invalidation execution admitted")
+	const started = 1           // generation read at execution start
+	const current = started + 1 // the outage arrives mid-execution
+	c.Put(h(1), rowsOf(2), nil, started, 0)
+	if _, ok := c.Get(h(1), current); ok {
+		t.Fatal("insert from a pre-outage execution served")
 	}
-	s := c.Counters()
-	if s.Rejected != 1 || s.Invalidations != 1 {
-		t.Errorf("rejected/invalidations = %d/%d, want 1/1", s.Rejected, s.Invalidations)
+	s := c.Counters(current)
+	if s.Stale != 1 || s.Entries != 0 {
+		t.Errorf("stale/entries = %d/%d, want 1/0", s.Stale, s.Entries)
 	}
-	// The next execution observes the new generation and is admitted.
-	c.Put(h(1), rowsOf(2), nil, 1, 0, c.Gen())
-	if _, ok := c.Get(h(1), 1); !ok {
-		t.Fatal("post-invalidation insert refused")
+	// The next execution reads the new generation and is admitted.
+	c.Put(h(1), rowsOf(2), nil, current, 0)
+	if _, ok := c.Get(h(1), current); !ok {
+		t.Fatal("post-outage insert not served")
 	}
 }
 
 // TestResultCacheSnapshotView pins the optimizer view: only
-// current-epoch, unexpired entries appear, and the snapshot is frozen —
+// current-generation, unexpired entries appear, and the snapshot is frozen —
 // later cache churn does not change it.
 func TestResultCacheSnapshotView(t *testing.T) {
 	clock := netsim.NewClock()
 	c := New(enabled(8, 0, 50), clock.Now)
-	c.Put(h(1), rowsOf(3), nil, 1, 0, c.Gen())
-	c.Put(h(2), rowsOf(5), nil, 2, 0, c.Gen()) // different epoch
-	c.Put(h(3), rowsOf(7), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(3), nil, 1, 0)
+	c.Put(h(2), rowsOf(5), nil, 2, 0) // different epoch
+	c.Put(h(3), rowsOf(7), nil, 1, 0)
 	clock.Advance(60) // h(1) and h(3) expire...
-	c.Put(h(4), rowsOf(9), nil, 1, 0, c.Gen())
+	c.Put(h(4), rowsOf(9), nil, 1, 0)
 
 	v := c.SnapshotView(1)
 	if v == nil {
@@ -208,17 +209,17 @@ func TestResultCacheSnapshotView(t *testing.T) {
 			t.Errorf("snapshot leaked stale/expired/foreign-epoch entry %v", bad)
 		}
 	}
-	c.Invalidate()
+	// The generation advances: nothing stamped earlier is live any more.
 	if n, ok := v.Lookup(h(4)); !ok || n != 9 {
-		t.Errorf("frozen snapshot changed after Invalidate: %d,%v", n, ok)
+		t.Errorf("frozen snapshot changed after the generation advanced: %d,%v", n, ok)
 	}
-	if c.SnapshotView(1) != nil {
-		t.Error("empty cache produced a snapshot")
+	if c.SnapshotView(3) != nil {
+		t.Error("cache with no live entries produced a snapshot")
 	}
 }
 
 // TestResultCacheConcurrent hammers the cache from many goroutines under
-// -race: mixed gets, puts, invalidations and snapshots must stay
+// -race: mixed gets, puts, dead-stamp evictions and snapshots must stay
 // internally consistent (the budget invariants hold at the end).
 func TestResultCacheConcurrent(t *testing.T) {
 	clock := netsim.NewClock()
@@ -232,10 +233,10 @@ func TestResultCacheConcurrent(t *testing.T) {
 				k := h(uint64(i % 40))
 				switch i % 5 {
 				case 0:
-					c.Put(k, rowsOf(i%7+1), nil, 1, 0, c.Gen())
+					c.Put(k, rowsOf(i%7+1), nil, 1, 0)
 				case 4:
 					if g == 0 && i%50 == 0 {
-						c.Invalidate()
+						c.Get(k, 2) // a newer generation evicts k on sight
 					}
 					c.SnapshotView(1)
 				default:
@@ -245,7 +246,7 @@ func TestResultCacheConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s := c.Counters()
+	s := c.Counters(1)
 	if s.Entries > 32 {
 		t.Errorf("entry budget violated: %d", s.Entries)
 	}
