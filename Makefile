@@ -110,11 +110,13 @@ ci-race:
 	$(GO) test -race $(RACE_PKGS)
 
 # Steady-state allocation gates (testing.AllocsPerRun): pricing a warm
-# plan through EstimateRoot must not allocate at all, and memo probes
-# must stay allocation-free. Run without -race — the detector changes
-# allocation behaviour, so the tests skip themselves under it.
+# plan through EstimateRoot must not allocate at all, memo probes must
+# stay allocation-free, and a small project/join query must not pay for
+# full-size row-arena slabs (under 64 KiB per run). Run without -race —
+# the detector changes allocation behaviour, so the tests skip
+# themselves under it.
 ci-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer
+	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec
 
 # The fault matrix under the race detector: every injected failure mode
 # (drop, transient error, delay, permanent outage) must recover or
@@ -141,13 +143,13 @@ ci-fuzz:
 
 # Race-stress for the concurrent serving path (DESIGN.md §9): the mixed
 # query/registration/fault suite, the plan-cache and admission tests, the
-# feedback save debounce, and the server's connection handling and
-# graceful shutdown, repeated under the race detector so interleavings
-# vary between runs.
+# feedback save debounce, history recording racing estimation and
+# eviction, and the server's connection handling and graceful shutdown,
+# repeated under the race detector so interleavings vary between runs.
 ci-concurrency:
 	$(GO) test -race -count=3 \
 		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|StalePlan|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp' \
-		./internal/mediator ./internal/feedback ./internal/serving
+		./internal/mediator ./internal/feedback ./internal/serving ./internal/history
 
 # The repository benchmark's own tests (perfbench/ is a separate module,
 # so the root `go test ./...` does not reach it). Compiling it also

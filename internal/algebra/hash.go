@@ -235,6 +235,15 @@ func (n *Node) StructuralHash() Hash128 {
 	return Hash128{Lo: n.hashLo, Hi: n.hashHi}
 }
 
+// SubmitHash returns Submit(child, wrapper).StructuralHash() without
+// building the submit node (the history recorder keys every executed
+// wrapper subquery by it). child's own hash is computed and cached as
+// StructuralHash does.
+func SubmitHash(child *Node, wrapper string) Hash128 {
+	n := Node{Kind: OpSubmit, Wrapper: wrapper, Children: []*Node{child}}
+	return n.StructuralHash()
+}
+
 // InvalidateHashes clears the cached structural hash of every node in the
 // subtree. Call it after mutating structural fields of already-hashed
 // nodes (note that ancestors outside the receiver's subtree must be

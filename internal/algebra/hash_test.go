@@ -170,3 +170,20 @@ func TestHashCaseFoldEdge(t *testing.T) {
 		t.Errorf("folding edge: sigEq=%v hashEq=%v", sigEq, hashEq)
 	}
 }
+
+// TestSubmitHash checks the node-free submit hash against hashing a built
+// submit node, and that it does not allocate once the child is hashed.
+func TestSubmitHash(t *testing.T) {
+	child := Select(Scan("w1", "Emp"), NewSelPred(Ref{Attr: "id"}, stats.CmpLT, types.Int(7)))
+	for _, w := range []string{"w1", "w2", ""} {
+		if got, want := SubmitHash(child, w), Submit(child.Clone(), w).StructuralHash(); got != want {
+			t.Errorf("SubmitHash(%q) = %v, want %v", w, got, want)
+		}
+	}
+	if SubmitHash(child, "w1") == SubmitHash(child, "w2") {
+		t.Error("the wrapper must be part of the submit hash")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { SubmitHash(child, "w1") }); allocs != 0 {
+		t.Errorf("SubmitHash allocates %.0f times per call, want 0", allocs)
+	}
+}

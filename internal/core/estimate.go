@@ -518,16 +518,26 @@ func (e *Estimator) associate(sc *scratch, ctx *nodeCtx) {
 	ctx.mmatches = ctx.mmatches[:0]
 	// Wrapper-site nodes consult the wrapper's own rules first, then the
 	// defaults; mediator-site nodes consult local-scope then default.
+	// The wrapper's Exact-plan query rules are looked up by the node's
+	// hash and merged into its bucket in specialization order.
 	if ctx.wrapper != "" {
-		e.appendMatches(sc, ctx, e.Registry.WrapperRulesFor(ctx.wrapper, ctx.node.Kind), false)
-		e.appendMatches(sc, ctx, e.Registry.DefaultRulesFor(ctx.node.Kind), true)
+		exact, rules := e.Registry.wrapperCandidates(ctx.wrapper, ctx.node)
+		e.appendMatches(sc, ctx, exact, rules, false)
+		e.appendMatches(sc, ctx, nil, e.Registry.DefaultRulesFor(ctx.node.Kind), true)
 	} else {
-		e.appendMatches(sc, ctx, e.Registry.DefaultRulesFor(ctx.node.Kind), false)
+		e.appendMatches(sc, ctx, nil, e.Registry.DefaultRulesFor(ctx.node.Kind), false)
 	}
 }
 
-func (e *Estimator) appendMatches(sc *scratch, ctx *nodeCtx, rules []*Rule, skipLocal bool) {
-	for _, r := range rules {
+// appendMatches matches the merge of two most-specific-first rule lists.
+func (e *Estimator) appendMatches(sc *scratch, ctx *nodeCtx, exact, rules []*Rule, skipLocal bool) {
+	for len(exact) > 0 || len(rules) > 0 {
+		var r *Rule
+		if len(exact) > 0 && (len(rules) == 0 || ruleBefore(exact[0], rules[0])) {
+			r, exact = exact[0], exact[1:]
+		} else {
+			r, rules = rules[0], rules[1:]
+		}
 		if skipLocal && r.Scope == ScopeLocal {
 			continue
 		}

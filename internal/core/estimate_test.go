@@ -484,3 +484,75 @@ func TestEstimateDeterministicAndFinite(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestExactQueryRules covers the registry's exact-plan map: a rule with
+// an Exact plan answers for that plan only, is counted by RuleCount but
+// not listed in the wrapper's bucket, merges with bucket rules in
+// specialization order, and is replaced, removed and dropped in place.
+func TestExactQueryRules(t *testing.T) {
+	e := newTestEstimator(t)
+	reg := e.Registry
+	submitOf := func(v int64) *algebra.Node {
+		return resolve(t, algebra.Submit(algebra.Select(
+			algebra.Scan("src1", "Employee"),
+			algebra.NewSelPred(ref("Employee", "salary"), stats.CmpEQ, types.Int(v))), "src1"))
+	}
+	model := estimate(t, e, submitOf(10)).Root.TotalTime()
+	base := reg.RuleCount()
+	exactRule := func(v float64) *Rule {
+		return &Rule{Op: algebra.OpSubmit, Exact: submitOf(10),
+			Formulas: []Formula{{Var: "TotalTime", Prog: mustCompileConst(t, v)}}}
+	}
+
+	first := exactRule(1234)
+	reg.AddQueryRule("src1", first)
+	approx(t, "exact TotalTime", estimate(t, e, submitOf(10)).Root.TotalTime(), 1234, 0)
+	approx(t, "other plan TotalTime", estimate(t, e, submitOf(11)).Root.TotalTime(),
+		estimate(t, newTestEstimator(t), submitOf(11)).Root.TotalTime(), 0)
+	if got := reg.RuleCount(); got != base+1 {
+		t.Errorf("RuleCount = %d, want %d", got, base+1)
+	}
+	for _, r := range reg.WrapperRules("src1") {
+		if r.Exact != nil {
+			t.Error("an exact-plan rule leaked into the wrapper's bucket")
+		}
+	}
+
+	// Merge order: an equally specific bucket query rule shares the exact
+	// rule's level (the level keeps the cheapest value); a more specific
+	// (bound-collection) one forms a level of its own and outranks it.
+	reg.AddQueryRule("src1", &Rule{Op: algebra.OpSubmit,
+		Terms: []HeadTerm{{Kind: TermVar, Name: "C"}}, Specificity: 0,
+		Formulas: []Formula{{Var: "TotalTime", Prog: mustCompileConst(t, 5500)}}})
+	approx(t, "same-level TotalTime", estimate(t, e, submitOf(10)).Root.TotalTime(), 1234, 0)
+	reg.AddQueryRule("src1", &Rule{Op: algebra.OpSubmit,
+		Terms: []HeadTerm{{Kind: TermCollection, Name: "Employee"}}, Specificity: 1,
+		Formulas: []Formula{{Var: "TotalTime", Prog: mustCompileConst(t, 7700)}}})
+	approx(t, "more specific level TotalTime", estimate(t, e, submitOf(10)).Root.TotalTime(), 7700, 0)
+	reg.DropWrapper("src1")
+	if got := reg.RuleCount(); got != base {
+		t.Fatalf("after DropWrapper RuleCount = %d, want %d", got, base)
+	}
+	approx(t, "dropped TotalTime", estimate(t, e, submitOf(10)).Root.TotalTime(), model, 0)
+
+	first = exactRule(1234)
+	reg.AddQueryRule("src1", first)
+	second := exactRule(4321)
+	if !reg.ReplaceQueryRule("src1", first, second) {
+		t.Fatal("ReplaceQueryRule missed a present exact rule")
+	}
+	if second.Seq != first.Seq {
+		t.Errorf("replacement Seq = %d, want the old rule's %d", second.Seq, first.Seq)
+	}
+	approx(t, "replaced TotalTime", estimate(t, e, submitOf(10)).Root.TotalTime(), 4321, 0)
+	if reg.ReplaceQueryRule("src1", first, exactRule(1)) {
+		t.Error("ReplaceQueryRule of a superseded rule should report false")
+	}
+	if !reg.RemoveQueryRule("src1", second) || reg.RemoveQueryRule("src1", second) {
+		t.Error("RemoveQueryRule should succeed once")
+	}
+	approx(t, "removed TotalTime", estimate(t, e, submitOf(10)).Root.TotalTime(), model, 0)
+	if got := reg.RuleCount(); got != base {
+		t.Errorf("after removal RuleCount = %d, want %d", got, base)
+	}
+}

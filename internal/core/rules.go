@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -327,6 +328,13 @@ var DefaultAttribute = stats.AttributeStats{Indexed: false, CountDistinct: 100}
 // tables", §3.3.2) keep matching time independent of rules for other
 // operators.
 //
+// Query-scope rules that carry an Exact plan (the history recorder's
+// §4.3.1 rules, one per recorded subquery shape) live outside the sorted
+// buckets, in a per-wrapper map keyed by the plan's structural hash: the
+// estimator looks a node's own hash up instead of walking every recorded
+// shape, and adding, replacing or removing one is O(1) — no bucket copy,
+// no re-indexing — however many shapes are recorded.
+//
 // The registry is safe for concurrent use: estimations read rule slices
 // while registrations, re-registrations, outage-driven drops and the
 // history recorder's query-scope injections mutate them. Mutators publish
@@ -340,8 +348,12 @@ type Registry struct {
 	defaultsByOp map[algebra.OpKind][]*Rule
 	byWrapper    map[string][]*Rule
 	byWrapperOp  map[string]map[algebra.OpKind][]*Rule
-	seq          int
-	baseFuncs    *costvm.FuncRegistry
+	// exact holds the Exact-plan query-scope rules per wrapper, keyed by
+	// Rule.exactHash; each slice is sorted most-specific-first (it has
+	// more than one rule only when several rules record the same plan).
+	exact     map[string]map[algebra.Hash128][]*Rule
+	seq       int
+	baseFuncs *costvm.FuncRegistry
 }
 
 // NewRegistry returns an empty registry whose rules share the given base
@@ -354,6 +366,7 @@ func NewRegistry(base *costvm.FuncRegistry) *Registry {
 		byWrapper:    make(map[string][]*Rule),
 		byWrapperOp:  make(map[string]map[algebra.OpKind][]*Rule),
 		defaultsByOp: make(map[algebra.OpKind][]*Rule),
+		exact:        make(map[string]map[algebra.Hash128][]*Rule),
 		baseFuncs:    base,
 	}
 }
@@ -362,7 +375,8 @@ func NewRegistry(base *costvm.FuncRegistry) *Registry {
 // mediator builtins).
 func (reg *Registry) BaseFuncs() *costvm.FuncRegistry { return reg.baseFuncs }
 
-// RuleCount reports the total number of integrated rules.
+// RuleCount reports the total number of integrated rules, Exact-plan
+// query-scope rules included.
 func (reg *Registry) RuleCount() int {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
@@ -370,11 +384,17 @@ func (reg *Registry) RuleCount() int {
 	for _, rs := range reg.byWrapper {
 		n += len(rs)
 	}
+	for _, m := range reg.exact {
+		for _, rs := range m {
+			n += len(rs)
+		}
+	}
 	return n
 }
 
-// WrapperRules returns the integrated rules of one wrapper (sorted
-// most-specific-first); the slice must not be modified.
+// WrapperRules returns the integrated rules of one wrapper's sorted
+// bucket (most-specific-first); the slice must not be modified. Exact-plan
+// query-scope rules are not in the bucket and are not returned.
 func (reg *Registry) WrapperRules(wrapper string) []*Rule {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
@@ -473,9 +493,9 @@ func (reg *Registry) IntegrateWrapper(wrapper string, file *costlang.File, view 
 }
 
 // AddQueryRule injects a query-scope rule recording observed costs for an
-// exact subquery shape; the history package uses it (§4.3.1). The head
-// matcher is the provided match function, evaluated against candidate
-// nodes.
+// exact subquery shape; the history package uses it (§4.3.1). A rule with
+// an Exact plan is filed under the plan's structural hash in O(1); any
+// other query-scope rule joins the wrapper's sorted bucket.
 func (reg *Registry) AddQueryRule(wrapper string, rule *Rule) {
 	rule.Scope = ScopeQuery
 	rule.Wrapper = wrapper
@@ -487,10 +507,7 @@ func (reg *Registry) AddQueryRule(wrapper string, rule *Rule) {
 	if rule.Funcs == nil {
 		rule.Funcs = reg.baseFuncs
 	}
-	rules := append(append([]*Rule(nil), reg.byWrapper[wrapper]...), rule)
-	sortRules(rules)
-	reg.byWrapper[wrapper] = rules
-	reg.byWrapperOp[wrapper] = indexByOp(rules)
+	reg.insertQueryRule(wrapper, rule)
 }
 
 // ReplaceQueryRule swaps a previously injected query-scope rule for a
@@ -507,23 +524,83 @@ func (reg *Registry) ReplaceQueryRule(wrapper string, old, fresh *Rule) bool {
 	fresh.Finalize()
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	bucket := reg.byWrapper[wrapper]
-	for i, r := range bucket {
-		if r != old {
-			continue
-		}
-		fresh.Seq = old.Seq
-		fresh.Specificity = old.Specificity
-		if fresh.Funcs == nil {
-			fresh.Funcs = old.Funcs
-		}
-		rules := append([]*Rule(nil), bucket...)
-		rules[i] = fresh
-		reg.byWrapper[wrapper] = rules
-		reg.byWrapperOp[wrapper] = indexByOp(rules)
+	rules := reg.slotOf(wrapper, old)
+	i := slices.Index(rules, old)
+	if i < 0 {
+		return false
+	}
+	fresh.Seq = old.Seq
+	fresh.Specificity = old.Specificity
+	if fresh.Funcs == nil {
+		fresh.Funcs = old.Funcs
+	}
+	if (old.Exact == nil) != (fresh.Exact == nil) || old.exactHash != fresh.exactHash {
+		// fresh files elsewhere (another Exact plan, or none).
+		reg.removeQueryRule(wrapper, old)
+		reg.insertQueryRule(wrapper, fresh)
 		return true
 	}
-	return false
+	rules = slices.Clone(rules)
+	rules[i] = fresh
+	reg.setSlot(wrapper, old, rules)
+	return true
+}
+
+// RemoveQueryRule withdraws a previously injected query-scope rule (the
+// history recorder evicting a shape); it reports false when the rule is
+// not (or no longer) present.
+func (reg *Registry) RemoveQueryRule(wrapper string, rule *Rule) bool {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return reg.removeQueryRule(wrapper, rule)
+}
+
+// slotOf returns the published, sorted slice a query-scope rule files
+// into: the wrapper's bucket, or the exact-map entry of its plan hash.
+// Callers hold the lock.
+func (reg *Registry) slotOf(wrapper string, rule *Rule) []*Rule {
+	if rule.Exact == nil {
+		return reg.byWrapper[wrapper]
+	}
+	return reg.exact[wrapper][rule.exactHash]
+}
+
+// setSlot publishes a fresh slice for rule's slot (see slotOf); callers
+// hold the write lock.
+func (reg *Registry) setSlot(wrapper string, rule *Rule, rules []*Rule) {
+	if rule.Exact == nil {
+		reg.byWrapper[wrapper] = rules
+		reg.byWrapperOp[wrapper] = indexByOp(rules)
+		return
+	}
+	m := reg.exact[wrapper]
+	switch {
+	case len(rules) == 0:
+		delete(m, rule.exactHash)
+	case m == nil:
+		reg.exact[wrapper] = map[algebra.Hash128][]*Rule{rule.exactHash: rules}
+	default:
+		m[rule.exactHash] = rules
+	}
+}
+
+// insertQueryRule files a finalized query-scope rule; callers hold the
+// write lock.
+func (reg *Registry) insertQueryRule(wrapper string, rule *Rule) {
+	rules := append(slices.Clip(reg.slotOf(wrapper, rule)), rule)
+	sortRules(rules)
+	reg.setSlot(wrapper, rule, rules)
+}
+
+// removeQueryRule unfiles a query-scope rule; callers hold the write lock.
+func (reg *Registry) removeQueryRule(wrapper string, rule *Rule) bool {
+	rules := reg.slotOf(wrapper, rule)
+	i := slices.Index(rules, rule)
+	if i < 0 {
+		return false
+	}
+	reg.setSlot(wrapper, rule, slices.Delete(slices.Clone(rules), i, i+1))
+	return true
 }
 
 // DropWrapper removes every rule of a wrapper (re-registration, paper
@@ -533,19 +610,20 @@ func (reg *Registry) DropWrapper(wrapper string) {
 	defer reg.mu.Unlock()
 	delete(reg.byWrapper, wrapper)
 	delete(reg.byWrapperOp, wrapper)
+	delete(reg.exact, wrapper)
 }
 
-// WrapperRulesFor returns a wrapper's rules for one operator kind,
-// most-specific-first (the dispatch-table view the estimator matches
-// against).
-func (reg *Registry) WrapperRulesFor(wrapper string, op algebra.OpKind) []*Rule {
+// wrapperCandidates returns the rules a node executing at a wrapper is
+// matched against, each most-specific-first: the wrapper's Exact-plan
+// query rules recorded for the node's own structural hash, and the
+// wrapper's bucket rules for the node's operator kind.
+func (reg *Registry) wrapperCandidates(wrapper string, n *algebra.Node) (exact, rules []*Rule) {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	m, ok := reg.byWrapperOp[wrapper]
-	if !ok {
-		return nil
+	if m := reg.exact[wrapper]; len(m) > 0 {
+		exact = m[n.StructuralHash()]
 	}
-	return m[op]
+	return exact, reg.byWrapperOp[wrapper][n.Kind]
 }
 
 // DefaultRulesFor returns the default/local rules for one operator kind.
@@ -568,16 +646,19 @@ func indexByOp(rules []*Rule) map[algebra.OpKind][]*Rule {
 // rules before sorting: re-finalizing already-published rules here would
 // write derived fields concurrent estimations are reading.
 func sortRules(rules []*Rule) {
-	sort.SliceStable(rules, func(i, j int) bool {
-		a, b := rules[i], rules[j]
-		if a.Scope != b.Scope {
-			return a.Scope > b.Scope
-		}
-		if a.Specificity != b.Specificity {
-			return a.Specificity > b.Specificity
-		}
-		return a.Seq < b.Seq
-	})
+	sort.SliceStable(rules, func(i, j int) bool { return ruleBefore(rules[i], rules[j]) })
+}
+
+// ruleBefore is the specialization order: scope desc, specificity desc,
+// then registration order.
+func ruleBefore(a, b *Rule) bool {
+	if a.Scope != b.Scope {
+		return a.Scope > b.Scope
+	}
+	if a.Specificity != b.Specificity {
+		return a.Specificity > b.Specificity
+	}
+	return a.Seq < b.Seq
 }
 
 func evalGlobals(file *costlang.File, funcs *costvm.FuncRegistry) (map[string]types.Constant, error) {

@@ -144,6 +144,30 @@ func CompileString(src string) (*Program, error) {
 	return Compile(e)
 }
 
+// ConstProgram returns the program of a numeric literal: for finite v it
+// is exactly what CompileString(types.Float(v).String()) yields — same
+// code, constant pool and source text — built without formatting, lexing
+// and parsing that text. Non-finite values have no literal form and are
+// rejected.
+func ConstProgram(v float64) (*Program, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil, fmt.Errorf("costvm: constant %v has no literal form", v)
+	}
+	var src string
+	if math.Signbit(v) {
+		// A negative literal parses as a negated positive one.
+		src = (&costlang.Neg{X: costlang.NumLit(-v)}).String()
+	} else {
+		src = costlang.NumLit(v).String()
+	}
+	return &Program{
+		Code:     []Instr{{Op: opConst}},
+		Consts:   []types.Constant{numConst(v)},
+		MaxStack: 1,
+		Source:   src,
+	}, nil
+}
+
 // emit appends code for e; cur is the stack depth before e executes, and
 // the depth after (always cur+1) is returned.
 func (p *Program) emit(e costlang.Expr, cur int) (int, error) {

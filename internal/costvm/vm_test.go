@@ -2,6 +2,7 @@ package costvm
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -383,5 +384,36 @@ func TestEvalRecoversEnvPanic(t *testing.T) {
 	}
 	if v != types.Null {
 		t.Errorf("value on error = %v, want Null", v)
+	}
+}
+
+// TestConstProgramMatchesCompileString pins ConstProgram to the program
+// the text path builds for the same literal, including the int/float
+// boundary of the constant pool (1e15), negative values and zero signs.
+func TestConstProgramMatchesCompileString(t *testing.T) {
+	for _, v := range []float64{0, 1, 0.1, 2.0 / 3, 1e15 - 1, 1e15, 1e300, 5e-324,
+		-5, -0.25, math.Copysign(0, -1)} {
+		got, err := ConstProgram(v)
+		if err != nil {
+			t.Fatalf("ConstProgram(%v): %v", v, err)
+		}
+		want, err := CompileString(types.Float(v).String())
+		if err != nil {
+			t.Fatalf("CompileString(%v): %v", v, err)
+		}
+		if !reflect.DeepEqual(got.Code, want.Code) || !reflect.DeepEqual(got.Consts, want.Consts) ||
+			got.Source != want.Source || got.MaxStack != want.MaxStack {
+			t.Errorf("ConstProgram(%v) = %+v, CompileString gives %+v", v, *got, *want)
+		}
+		gv, err1 := got.Eval(newMapEnv(nil))
+		wv, err2 := want.Eval(newMapEnv(nil))
+		if err1 != nil || err2 != nil || !gv.Equal(wv) || gv.Kind() != wv.Kind() {
+			t.Errorf("ConstProgram(%v) evaluates to %v (%v), want %v (%v)", v, gv, err1, wv, err2)
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := ConstProgram(v); err == nil {
+			t.Errorf("ConstProgram(%v) should fail: non-finite values have no literal", v)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package vexec
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"disco/internal/algebra"
@@ -228,7 +229,7 @@ type foldGroup struct {
 }
 
 // foldState replicates rowops.Aggregate's accumulation loop
-// incrementally: same key encoding, same first-seen ordering, same
+// incrementally: same key equality, same first-seen ordering, same
 // AggState arithmetic — streaming batches through it yields exactly the
 // reference output. With owner/ownerOf set it becomes a partition-owner
 // fold: rows whose group hash belongs to another partition are skipped
@@ -236,11 +237,45 @@ type foldGroup struct {
 type foldState struct {
 	gpos, apos []int
 	aggs       []algebra.AggSpec
-	groups     map[string]*foldGroup
+	groups     map[string]*foldGroup // keyed by the encoded grouping values
 	order      []*foldGroup
 	enc        rowops.KeyEncoder
 	owner      int
 	ownerOf    int // 0 = own everything (sequential)
+
+	// The single-key fast path (one grouping attribute, sequential):
+	// the value itself is the map key, so no key is encoded per row.
+	strGroups    map[string]*foldGroup
+	scalarGroups map[scalarKey]*foldGroup
+}
+
+// scalarKey identifies a non-string grouping value exactly as the
+// KeyEncoder's encoding does: values are equal when their kinds match and
+// their int, float64 bits or bool agree (Int(3) and Float(3) stay apart,
+// as do 0 and -0).
+type scalarKey struct {
+	kind types.Kind
+	bits uint64
+}
+
+func newScalarKey(v types.Constant) scalarKey {
+	switch v.Kind() {
+	case types.KindNull:
+		return scalarKey{kind: types.KindNull}
+	case types.KindInt:
+		return scalarKey{kind: types.KindInt, bits: uint64(v.AsInt())}
+	case types.KindFloat:
+		return scalarKey{kind: types.KindFloat, bits: math.Float64bits(v.AsFloat())}
+	case types.KindBool:
+		k := scalarKey{kind: types.KindBool}
+		if v.AsBool() {
+			k.bits = 1
+		}
+		return k
+	default:
+		// The encoder writes one shared tag for every other kind.
+		return scalarKey{kind: 0xff}
+	}
 }
 
 func newFoldState(schema *types.Schema, groupBy []algebra.Ref, aggs []algebra.AggSpec) (*foldState, error) {
@@ -249,6 +284,10 @@ func newFoldState(schema *types.Schema, groupBy []algebra.Ref, aggs []algebra.Ag
 		apos:   make([]int, len(aggs)),
 		aggs:   aggs,
 		groups: make(map[string]*foldGroup),
+	}
+	if len(groupBy) == 1 {
+		f.strGroups = make(map[string]*foldGroup)
+		f.scalarGroups = make(map[scalarKey]*foldGroup)
 	}
 	for i, g := range groupBy {
 		pos, ok := algebra.RefIndex(schema, g)
@@ -284,22 +323,22 @@ func (f *foldState) keyHash(r types.Row) uint64 {
 // add folds one row; idx is its global input index (first-seen order for
 // the parallel merge; sequential callers pass 0).
 func (f *foldState) add(r types.Row, idx int) {
-	f.enc.Reset()
-	for _, p := range f.gpos {
-		f.enc.Constant(r[p])
-	}
-	if f.ownerOf > 0 && int(fnvBytes(f.enc.Bytes())%uint64(f.ownerOf)) != f.owner {
-		return
-	}
-	g, ok := f.groups[string(f.enc.Bytes())]
-	if !ok {
-		key := make(types.Row, len(f.gpos))
-		for i, p := range f.gpos {
-			key[i] = r[p]
+	var g *foldGroup
+	if f.strGroups != nil && f.ownerOf == 0 {
+		g = f.group1(r, idx)
+	} else {
+		f.enc.Reset()
+		for _, p := range f.gpos {
+			f.enc.Constant(r[p])
 		}
-		g = &foldGroup{key: key, states: rowops.NewAggStates(f.aggs), first: idx}
-		f.groups[string(f.enc.Bytes())] = g
-		f.order = append(f.order, g)
+		if f.ownerOf > 0 && int(fnvBytes(f.enc.Bytes())%uint64(f.ownerOf)) != f.owner {
+			return
+		}
+		var ok bool
+		if g, ok = f.groups[string(f.enc.Bytes())]; !ok {
+			g = f.newGroup(r, idx)
+			f.groups[string(f.enc.Bytes())] = g
+		}
 	}
 	for i := range f.aggs {
 		v := types.Null
@@ -308,6 +347,38 @@ func (f *foldState) add(r types.Row, idx int) {
 		}
 		g.states[i].Add(v)
 	}
+}
+
+// group1 is add's single-grouping-attribute lookup.
+func (f *foldState) group1(r types.Row, idx int) *foldGroup {
+	v := r[f.gpos[0]]
+	if v.Kind() == types.KindString {
+		g, ok := f.strGroups[v.AsString()]
+		if !ok {
+			g = f.newGroup(r, idx)
+			f.strGroups[v.AsString()] = g
+		}
+		return g
+	}
+	k := newScalarKey(v)
+	g, ok := f.scalarGroups[k]
+	if !ok {
+		g = f.newGroup(r, idx)
+		f.scalarGroups[k] = g
+	}
+	return g
+}
+
+// newGroup starts the group of row r and appends it to the first-seen
+// order.
+func (f *foldState) newGroup(r types.Row, idx int) *foldGroup {
+	key := make(types.Row, len(f.gpos))
+	for i, p := range f.gpos {
+		key[i] = r[p]
+	}
+	g := &foldGroup{key: key, states: rowops.NewAggStates(f.aggs), first: idx}
+	f.order = append(f.order, g)
+	return g
 }
 
 // finish renders the groups in first-seen order, including the

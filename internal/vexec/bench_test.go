@@ -2,6 +2,7 @@ package vexec_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"disco/internal/algebra"
@@ -177,5 +178,47 @@ func TestExecSteadyStateAllocs(t *testing.T) {
 	t.Logf("allocs/run = %.1f over %d batches (%.3f per batch)", avg, batches, perBatch)
 	if perBatch > 0.5 {
 		t.Errorf("%.3f allocations per batch; steady state must stay ~0 (total %.1f)", perBatch, avg)
+	}
+}
+
+// TestSmallQueryAllocBytes is the ci-alloc gate for the row arena: a
+// serving-sized query (a project over a join, under ten rows out) must
+// not pay for full-size arena slabs. Each arena-using operator starts
+// with a small slab and only grows it as rows arrive, so the whole run
+// stays under 64 KiB; a fixed 16384-constant slab per operator alone
+// would be 768 KiB.
+func TestSmallQueryAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	cat := makeCatalog(8, 4, 7)
+	plan := algebra.Project(
+		algebra.Join(algebra.Scan("src", "parts"), algebra.Scan("src", "suppliers"),
+			algebra.NewJoinPred(ref("parts", "supplier"), ref("suppliers", "sid"))),
+		"parts.id", "region")
+	if err := algebra.Resolve(plan, cat); err != nil {
+		t.Fatal(err)
+	}
+	run := func() []types.Row {
+		out, err := vexec.Run(plan, &vexec.Env{Leaf: cat.scanLeaf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if n := len(run()); n == 0 || n > 10 {
+		t.Fatalf("pipeline produced %d rows, want 1..10", n)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes allocated per run", perRun)
+	if perRun > 64<<10 {
+		t.Errorf("a small project/join query allocates %d bytes per run, budget 64 KiB", perRun)
 	}
 }

@@ -19,6 +19,10 @@ type cmpSlot struct {
 	right int // -1 when the right side is a constant
 	op    stats.CmpOp
 	rc    types.Constant
+	// num marks a numeric constant rc, whose value rf a numeric cell is
+	// compared against directly (cmpFloat) instead of via CmpOp.Eval.
+	num bool
+	rf  float64
 }
 
 // compiledPred evaluates a conjunction over rows of one fixed schema.
@@ -59,6 +63,7 @@ func compilePred(s *types.Schema, p *algebra.Predicate) compiledPred {
 			slot.right = ri
 		} else {
 			slot.rc = c.RightConst
+			slot.num, slot.rf = slot.rc.IsNumeric(), slot.rc.AsFloat()
 		}
 		out.slots = append(out.slots, slot)
 	}
@@ -73,6 +78,14 @@ func (p *compiledPred) eval(r types.Row) bool {
 	}
 	for i := range p.slots {
 		s := &p.slots[i]
+		if s.num {
+			if v := r[s.left]; v.IsNumeric() {
+				if !cmpFloat(s.op, v.AsFloat(), s.rf) {
+					return false
+				}
+				continue
+			}
+		}
 		right := s.rc
 		if s.right >= 0 {
 			right = r[s.right]
@@ -82,6 +95,28 @@ func (p *compiledPred) eval(r types.Row) bool {
 		}
 	}
 	return true
+}
+
+// cmpFloat is CmpOp.Eval for two numerics, spelled out on their float64
+// values: Equal is ==, and Compare reports 0 for unordered (NaN) pairs,
+// so <= and >= are the negations of > and <.
+func cmpFloat(op stats.CmpOp, a, b float64) bool {
+	switch op {
+	case stats.CmpEQ:
+		return a == b
+	case stats.CmpNE:
+		return a != b
+	case stats.CmpLT:
+		return a < b
+	case stats.CmpLE:
+		return !(a > b)
+	case stats.CmpGT:
+		return a > b
+	case stats.CmpGE:
+		return !(a < b)
+	default:
+		return false
+	}
 }
 
 // pairPred evaluates a predicate compiled over a joined schema against

@@ -1,6 +1,7 @@
 package vexec
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -152,13 +153,29 @@ func (o *hashJoinOp) match(l, r types.Row) bool {
 	return o.pred.eval(l, r)
 }
 
+// buildSeqTable indexes build rows by tableKey, bucket lists in input
+// order.
 func buildSeqTable(rows []types.Row, rpos int) map[uint64][]types.Row {
 	t := make(map[uint64][]types.Row, len(rows))
 	for _, r := range rows {
-		h := rowops.JoinKeyHash(r[rpos])
+		h := tableKey(r[rpos])
 		t[h] = append(t[h], r)
 	}
 	return t
+}
+
+// tableKey is the bucket key of the in-memory join tables. Numerics key
+// by their float64 bits, the value rowops.JoinKeyHash hashes — the map
+// hashes the key itself, so hashing it first only costs time — and other
+// kinds by JoinKeyHash. Either way values that must join share a bucket,
+// and each bucket keeps build input order, so matches come out exactly
+// as from the reference join whatever else shares the bucket (candidates
+// are verified). Spill partitioning keeps JoinKeyHash.
+func tableKey(c types.Constant) uint64 {
+	if c.IsNumeric() {
+		return math.Float64bits(c.AsFloat())
+	}
+	return rowops.JoinKeyHash(c)
 }
 
 // probeStream pipelines probe batches through the in-memory table.
@@ -179,7 +196,7 @@ func (o *hashJoinOp) probeStream(b *Batch) (bool, error) {
 		if o.equiOnly {
 			for _, l := range o.in.Rows {
 				lk := l[o.lpos]
-				for _, r := range o.table[rowops.JoinKeyHash(lk)] {
+				for _, r := range o.table[tableKey(lk)] {
 					if lk.Equal(r[o.rpos]) {
 						out = append(out, o.arena.concat(l, r))
 					}
@@ -187,7 +204,7 @@ func (o *hashJoinOp) probeStream(b *Batch) (bool, error) {
 			}
 		} else {
 			for _, l := range o.in.Rows {
-				for _, r := range o.table[rowops.JoinKeyHash(l[o.lpos])] {
+				for _, r := range o.table[tableKey(l[o.lpos])] {
 					if o.pred.eval(l, r) {
 						out = append(out, o.arena.concat(l, r))
 					}
@@ -389,7 +406,7 @@ func (o *hashJoinOp) joinPartition(bset, pset *spillSet, p int) error {
 		if !ok {
 			return nil
 		}
-		for _, r := range table[rowops.JoinKeyHash(l[o.lpos])] {
+		for _, r := range table[tableKey(l[o.lpos])] {
 			if o.match(l, r) {
 				o.out = append(o.out, o.arena.concat(l, r))
 			}

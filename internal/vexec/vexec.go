@@ -178,19 +178,29 @@ func Discard(root Op, batchSize int) error {
 	return root.Close()
 }
 
-// arenaChunk is the constants-per-slab granularity of the row arena.
-const arenaChunk = 16384
+// Row-arena slab sizes, in constants. The first slab holds
+// arenaFirstChunk; each later one doubles, up to arenaChunk (or more, when
+// a single row needs it). A query producing a handful of rows therefore
+// zeroes a few KiB instead of a 768 KiB slab, while a large pipeline
+// reaches full-size slabs after a few doublings.
+const (
+	arenaFirstChunk = 256
+	arenaChunk      = 16384
+)
 
-// arena bump-allocates row storage in large slabs so operators that
-// build output rows (project, joins) do not allocate per row. By default
-// slabs are never recycled: emitted rows reference them, and the arena
-// simply drops its pointer when a slab fills (the rows keep it alive).
-// An operator marked transient (its consumer provably never retains row
-// storage past the next pull — see markTransient) calls reset() at the
-// top of each Next instead, reusing one steady-state slab so join- and
-// project-heavy pipelines stop allocating per batch.
+// arena bump-allocates row storage in slabs so operators that build
+// output rows (project, joins) do not allocate per row. Slabs grow
+// geometrically from arenaFirstChunk to arenaChunk, so the per-query cost
+// tracks the rows actually produced. By default slabs are never
+// recycled: emitted rows reference them, and the arena simply drops its
+// pointer when a slab fills (the rows keep it alive). An operator marked
+// transient (its consumer provably never retains row storage past the
+// next pull — see markTransient) calls reset() at the top of each Next
+// instead, reusing its current slab so join- and project-heavy pipelines
+// stop allocating per batch once a slab fits a whole batch.
 type arena struct {
 	slab []types.Constant
+	next int // size of the next slab; 0 before the first
 }
 
 // reset rewinds the slab for reuse. Only safe when every row handed out
@@ -203,11 +213,12 @@ func (a *arena) reset() { a.slab = a.slab[:0] }
 // clobber a neighbour.
 func (a *arena) alloc(n int) types.Row {
 	if len(a.slab)+n > cap(a.slab) {
-		c := arenaChunk
-		if n > c {
-			c = n
+		c := a.next
+		if c == 0 {
+			c = arenaFirstChunk
 		}
-		a.slab = make([]types.Constant, 0, c)
+		a.next = min(2*c, arenaChunk)
+		a.slab = make([]types.Constant, 0, max(c, n))
 	}
 	off := len(a.slab)
 	a.slab = a.slab[:off+n]

@@ -2,6 +2,7 @@ package vexec_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -345,5 +346,46 @@ func TestLeafErrorPropagates(t *testing.T) {
 	}})
 	if err == nil || err.Error() != boom.Error() {
 		t.Fatalf("error = %v, want %v", err, boom)
+	}
+}
+
+// TestSingleKeyGroupingMatchesReference pins the single-attribute
+// grouping lookup to the reference key encoding: values of different
+// kinds never share a group (Int 3 vs Float 3 vs "3"), float groups
+// split on bits (0 vs -0), and groups come out in first-seen order.
+func TestSingleKeyGroupingMatchesReference(t *testing.T) {
+	vals := []types.Constant{
+		types.Int(3), types.Float(3), types.Str("3"), types.Float(0), types.Float(math.Copysign(0, -1)),
+		types.Null, types.Bool(true), types.Bool(false), types.Int(-1), types.Str(""),
+		types.Int(3), types.Float(0), types.Str("3"), types.Null, types.Bool(true),
+	}
+	rows := make([]types.Row, 0, 3*len(vals))
+	for i := 0; i < 3; i++ {
+		for j, v := range vals {
+			rows = append(rows, types.Row{v, types.Int(int64(i*len(vals) + j))})
+		}
+	}
+	cat := testCatalog{"mixed": {
+		schema: types.NewSchema(
+			types.Field{Name: "k", Collection: "mixed", Type: types.KindString},
+			types.Field{Name: "v", Collection: "mixed", Type: types.KindInt},
+		),
+		rows: rows,
+	}}
+	plan := algebra.Aggregate(algebra.Scan("src", "mixed"), []algebra.Ref{ref("mixed", "k")},
+		[]algebra.AggSpec{{Func: algebra.AggCount, Star: true}, {Func: algebra.AggSum, Attr: ref("mixed", "v")}})
+	if err := algebra.Resolve(plan, cat); err != nil {
+		t.Fatal(err)
+	}
+	want, err := refEval(plan, cat.scanLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bs := range []int{0, 5} {
+		got, err := vexec.Run(plan, &vexec.Env{Opts: vexec.Options{BatchSize: bs}, Leaf: cat.scanLeaf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireBitIdentical(t, fmt.Sprintf("batch=%d", bs), want, got)
 	}
 }
